@@ -6,7 +6,7 @@ control variates, step-normalized averaging) with any server optimizer
 bit-reproducible runs keyed entirely by the config.
 """
 from .rng import seeded_rng, spawn_seed
-from .params import NonFiniteError, ParamVector, add_scaled, elementwise, l2_norm_sq
+from .params import NonFiniteError, ParamVector
 from .model import (
     Batch,
     ModelSpec,
@@ -85,12 +85,10 @@ __all__ = [
     "ServerConfig",
     "ServerState",
     "accum_coeff_norm",
-    "add_scaled",
     "aggregate",
     "aggregate_control",
     "algorithm_name",
     "dirichlet_partition",
-    "elementwise",
     "emit_per_seed_report",
     "emit_report",
     "epoch_batches",
@@ -98,7 +96,6 @@ __all__ = [
     "finite_diff_grad",
     "gen_synthetic",
     "init_params",
-    "l2_norm_sq",
     "load_csv_dataset",
     "load_params",
     "local_train",

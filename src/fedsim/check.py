@@ -26,11 +26,11 @@ def _require(cond: bool, detail: str) -> None:
         raise CheckFailure(detail)
 
 
-def _random_batch(spec: ModelSpec, seed: int, n: int = 16) -> Batch:
+def _shard_arrays(spec: ModelSpec, seed: int, n: int):
     rng = np.random.default_rng(seed)
-    return Batch(
+    return (
         rng.normal(size=(n, spec.input_dim)),
-        rng.integers(0, spec.num_classes, size=n),
+        rng.integers(0, spec.num_classes, size=n).astype(np.int64),
     )
 
 
@@ -42,7 +42,7 @@ def check_gradients() -> str:
         ModelSpec("mlp1", 4, 3, hidden_dim=6, activation="tanh"),
     ):
         params = init_params(spec, 7)
-        batch = _random_batch(spec, 11)
+        batch = Batch(*_shard_arrays(spec, seed=11, n=16))
         _, grad = loss_and_grad(spec, params, batch)
         fd = finite_diff_grad(spec, params, batch)
         scale = np.maximum(np.abs(fd.values), 1e-8)
@@ -133,14 +133,6 @@ def check_partition() -> str:
     _require(int(part.counts.min()) >= 1, "an empty client survived repair")
     _require(abs(float(part.ratios.sum()) - 1.0) <= 1e-12, "ratios do not sum to 1")
     return "disjoint cover, all clients non-empty, ratios sum to 1"
-
-
-def _shard_arrays(spec: ModelSpec, seed: int, n: int):
-    rng = np.random.default_rng(seed)
-    return (
-        rng.normal(size=(n, spec.input_dim)),
-        rng.integers(0, spec.num_classes, size=n).astype(np.int64),
-    )
 
 
 def _tiny_config() -> ExperimentConfig:

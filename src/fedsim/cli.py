@@ -23,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, GridSpec, parse_config, save_config
-from .data import dirichlet_partition, split_train_test
 from .orchestrator import (
     ExperimentConfig,
     ExperimentResult,
     FederatedRun,
     RoundMetrics,
     algorithm_name,
-    build_dataset,
+    prepare_data,
     run_experiment,
 )
 
@@ -91,6 +90,10 @@ def run_grid(
     return grid_result
 
 
+def _acc_cell(value: float) -> str:
+    return repr(float(value)) if np.isfinite(value) else "nan"
+
+
 def _mean_or_nan(values: list[float]) -> float:
     finite = [v for v in values if np.isfinite(v)]
     return float(np.mean(finite)) if finite else float("nan")
@@ -142,7 +145,7 @@ def emit_report(grid_result: GridResult, path: str | Path) -> None:
         writer.writerow(header)
         for pair in pairs:
             row = [algorithm_name(*pair), pair[0], pair[1]]
-            row += ["nan" if not np.isfinite(v) else repr(v) for v in table[pair]]
+            row += [_acc_cell(v) for v in table[pair]]
             row.append(",".join(str(t) for t in winners[pair]))
             row.append(status[pair])
             writer.writerow(row)
@@ -162,9 +165,7 @@ def emit_per_seed_report(grid_result: GridResult, path: str | Path) -> None:
         writer.writerow(header)
         for cell in grid_result.cells:
             row = [algorithm_name(cell.opt_c, cell.opt_s), cell.opt_c, cell.opt_s, cell.seed]
-            for t in checkpoints:
-                v = _best_acc_at(cell.result, t)
-                row.append(repr(float(v)) if np.isfinite(v) else "nan")
+            row += [_acc_cell(_best_acc_at(cell.result, t)) for t in checkpoints]
             row.append(cell.result.status)
             writer.writerow(row)
 
@@ -210,8 +211,8 @@ def _cmd_grid(args) -> int:
         spec = GridSpec(base=parsed, seeds=(parsed.seed,))
     if args.seed is not None:
         spec = replace(spec, seeds=(args.seed,))
-    if args.damped:
-        spec = replace(spec, base=replace(spec.base, server=replace(spec.base.server, damped=True)))
+    # --seed sets the sweep's seeds; the base keeps its own.
+    spec = replace(spec, base=replace(_apply_overrides(spec.base, args), seed=spec.base.seed))
 
     def progress(cell: GridCell) -> None:
         state = "diverged" if cell.result.diverged else f"best_acc {cell.result.best_acc:.4f}"
@@ -231,9 +232,7 @@ def _cmd_partition_stats(args) -> int:
     cfg = parsed.base if isinstance(parsed, GridSpec) else parsed
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    full = build_dataset(cfg.data, cfg.seed)
-    train, _ = split_train_test(full, cfg.data.test_fraction, cfg.seed)
-    part = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
+    train, _, part = prepare_data(cfg)
     print(
         f"{cfg.num_clients} clients over {len(train)} training samples "
         f"(alpha={cfg.data.alpha}, seed={cfg.seed})"
@@ -267,31 +266,24 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("config", help="YAML config file")
+    def add_common(p, out_help=None):
+        p.add_argument("config", help="YAML config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if out_help is not None:
+            p.add_argument("--out", default=None, help=out_help)
+            p.add_argument("--threads", type=int, default=1, help="client-training threads")
+            p.add_argument(
+                "--damped",
+                action="store_true",
+                help="use the damped adaptive-server variant (comparison runs)",
+            )
 
     p_run = sub.add_parser("run", help="run a single experiment")
-    add_common(p_run)
-    p_run.add_argument("--out", default=None, help="directory for metrics and model files")
-    p_run.add_argument("--threads", type=int, default=1, help="client-training threads")
-    p_run.add_argument(
-        "--damped",
-        action="store_true",
-        help="use the damped adaptive-server variant (comparison runs)",
-    )
+    add_common(p_run, "directory for metrics and model files")
     p_run.set_defaults(fn=_cmd_run)
 
     p_grid = sub.add_parser("grid", help="run an optimizer-pair sweep and write a report")
-    add_common(p_grid)
-    p_grid.add_argument("--out", default=None, help="directory for per-cell outputs and report.csv")
-    p_grid.add_argument("--threads", type=int, default=1, help="client-training threads")
-    p_grid.add_argument(
-        "--damped",
-        action="store_true",
-        help="use the damped adaptive-server variant (comparison runs)",
-    )
+    add_common(p_grid, "directory for per-cell outputs and report.csv")
     p_grid.set_defaults(fn=_cmd_grid)
 
     p_stats = sub.add_parser("partition-stats", help="describe the client data split")

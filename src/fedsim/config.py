@@ -16,6 +16,7 @@ optimizer pair::
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import yaml
 
 from .client import CLIENT_OPTIMIZERS, CONTROL_OPTIONS, ClientConfig
 from .model import ACTIVATIONS, MODEL_KINDS
-from .orchestrator import DataConfig, ExperimentConfig, ModelConfig
+from .orchestrator import DATA_SOURCES, DataConfig, ExperimentConfig, ModelConfig
 from .server import SERVER_OPTIMIZERS, ServerConfig
 
 
@@ -128,6 +129,8 @@ def _cast_int(value, path, lines) -> int:
 def _cast_float(value, path, lines) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _err(path, lines, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int no float can hold
+        raise _err(path, lines, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -194,7 +197,7 @@ _MODEL_KEYS = {
 }
 
 _DATA_KEYS = {
-    "source": _cast_token(("synthetic", "csv")),
+    "source": _cast_token(DATA_SOURCES),
     "alpha": _cast_float,
     "test_fraction": _cast_float,
     "num_classes": _cast_int,
@@ -328,15 +331,8 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
     if not isinstance(grid_raw, dict):
         raise _err("grid", lines, "expected a mapping of sweep settings")
     grid_kw = _take(dict(grid_raw), lines, "grid", _GRID_KEYS)
-    kwargs = {}
-    if "opt_c" in grid_kw:
-        kwargs["opt_c_values"] = grid_kw["opt_c"]
-    if "opt_s" in grid_kw:
-        kwargs["opt_s_values"] = grid_kw["opt_s"]
-    if "seeds" in grid_kw:
-        kwargs["seeds"] = grid_kw["seeds"]
-    if "checkpoints" in grid_kw:
-        kwargs["checkpoints"] = grid_kw["checkpoints"]
+    fields = {"opt_c": "opt_c_values", "opt_s": "opt_s_values"}
+    kwargs = {fields.get(key, key): value for key, value in grid_kw.items()}
     try:
         return GridSpec(base=base, **kwargs)
     except ValueError as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import validate_xy
 from .rng import seeded_rng
 
 # Purpose tags mixed into SeedSequence keys so the streams for dataset
@@ -33,27 +34,16 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels)
-        if feats.ndim != 2 or labs.ndim != 1 or feats.shape[0] != labs.shape[0]:
-            raise ValueError(
-                f"features (n, d) and labels (n,) must align: {feats.shape} vs {labs.shape}"
-            )
-        if feats.shape[0] == 0:
-            raise ValueError("dataset is empty")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain NaN or Inf")
-        if not np.issubdtype(labs.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
+        feats, labs = validate_xy(self.features, self.labels)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if labs.min() < 0 or labs.max() >= self.num_classes:
+        if labs.max() >= self.num_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), got range "
                 f"[{int(labs.min())}, {int(labs.max())}]"
             )
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs.astype(np.int64))
+        object.__setattr__(self, "labels", labs)
 
     def __len__(self) -> int:
         return int(self.features.shape[0])

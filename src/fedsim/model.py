@@ -66,6 +66,27 @@ class ModelSpec:
         return sum(fi * fo + fo for fi, fo in self.layer_shapes)
 
 
+def validate_xy(features, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce to finite float64 features (n >= 1, d) and non-negative int64 labels (n,)."""
+    feats = np.asarray(features, dtype=np.float64)
+    labs = np.asarray(labels)
+    if feats.ndim != 2:
+        raise ValueError(f"features must be 2-D (n, d), got shape {feats.shape}")
+    if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
+        raise ValueError(
+            f"labels must be 1-D with one entry per row: {labs.shape} vs {feats.shape}"
+        )
+    if feats.shape[0] == 0:
+        raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(feats)):
+        raise ValueError("features contain NaN or Inf")
+    if not np.issubdtype(labs.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
+    if labs.min() < 0:
+        raise ValueError("labels must be non-negative")
+    return feats, labs.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Batch:
     """A design matrix plus integer labels, validated once at construction."""
@@ -74,24 +95,9 @@ class Batch:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
-        labs = np.asarray(self.labels)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be 2-D (n, d), got shape {feats.shape}")
-        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-            raise ValueError(
-                f"labels must be 1-D with one entry per row: {labs.shape} vs {feats.shape}"
-            )
-        if feats.shape[0] == 0:
-            raise ValueError("batch must contain at least one sample")
-        if not np.all(np.isfinite(feats)):
-            raise ValueError("features contain NaN or Inf")
-        if not np.issubdtype(labs.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
-        if labs.min() < 0:
-            raise ValueError("labels must be non-negative")
+        feats, labs = validate_xy(self.features, self.labels)
         object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs.astype(np.int64))
+        object.__setattr__(self, "labels", labs)
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
@@ -139,7 +145,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _check_labels(spec: ModelSpec, batch: Batch) -> None:
+def _cross_entropy(spec: ModelSpec, params: ParamVector, batch: Batch):
+    """Forward pass shared by every loss: (mean cross-entropy, logits, log-probs, cache)."""
     if batch.features.shape[1] != spec.input_dim:
         raise ValueError(
             f"feature dim {batch.features.shape[1]} does not match input_dim {spec.input_dim}"
@@ -148,30 +155,24 @@ def _check_labels(spec: ModelSpec, batch: Batch) -> None:
         raise ValueError(
             f"label {int(batch.labels.max())} out of range for {spec.num_classes} classes"
         )
-
-
-def mean_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
-    """Forward-only mean cross-entropy (used by the finite-difference oracle)."""
-    _check_labels(spec, batch)
-    logits, _ = _forward(spec, params.values, batch.features)
+    logits, cache = _forward(spec, params.values, batch.features)
     logp = _log_softmax(logits)
     loss = -logp[np.arange(len(batch)), batch.labels].mean()
     if not np.isfinite(loss):
         raise NonFiniteError("loss is NaN or Inf")
-    return float(loss)
+    return float(loss), logits, logp, cache
+
+
+def mean_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
+    """Forward-only mean cross-entropy (used by the finite-difference oracle)."""
+    return _cross_entropy(spec, params, batch)[0]
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
     """Mean cross-entropy and its exact gradient as a flat vector."""
-    _check_labels(spec, batch)
+    loss, _, logp, cache = _cross_entropy(spec, params, batch)
     feats, labs = batch.features, batch.labels
     n = len(batch)
-    logits, cache = _forward(spec, params.values, feats)
-    logp = _log_softmax(logits)
-    loss = -logp[np.arange(n), labs].mean()
-    if not np.isfinite(loss):
-        raise NonFiniteError("loss is NaN or Inf")
-
     dlogits = np.exp(logp)
     dlogits[np.arange(n), labs] -= 1.0
     dlogits /= n
@@ -192,7 +193,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[f
         dw1 = feats.T @ dpre
         db1 = dpre.sum(axis=0)
         grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-    return float(loss), ParamVector(grad)
+    return loss, ParamVector(grad)
 
 
 def finite_diff_grad(
@@ -217,12 +218,7 @@ def finite_diff_grad(
 
 def evaluate(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
-    _check_labels(spec, batch)
-    logits, _ = _forward(spec, params.values, batch.features)
-    logp = _log_softmax(logits)
-    loss = -logp[np.arange(len(batch)), batch.labels].mean()
-    if not np.isfinite(loss):
-        raise NonFiniteError("loss is NaN or Inf")
+    loss, logits, _, _ = _cross_entropy(spec, params, batch)
     preds = logits.argmax(axis=1)
     acc = float((preds == batch.labels).mean())
-    return float(loss), acc
+    return loss, acc

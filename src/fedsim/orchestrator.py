@@ -25,12 +25,13 @@ import numpy as np
 from .client import ClientConfig, ClientShard, ClientUpdate, DivergenceError, local_train
 from .data import (
     Dataset,
+    Partition,
     dirichlet_partition,
     load_csv_dataset,
     gen_synthetic,
     split_train_test,
 )
-from .model import Batch, ModelSpec, evaluate, init_params
+from .model import MODEL_KINDS, Batch, ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
 from .rng import seeded_rng, spawn_seed
 from .server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
@@ -39,6 +40,8 @@ from .server import ServerConfig, ServerState, aggregate, aggregate_control, ser
 TAG_INIT = 10
 TAG_SAMPLING = 11
 TAG_CLIENT = 12
+
+DATA_SOURCES = ("synthetic", "csv")
 
 #: Display names for every client/server optimizer combination.
 ALGORITHM_NAMES: dict[tuple[str, str], str] = {
@@ -99,8 +102,8 @@ class DataConfig:
     has_header: bool = False
 
     def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "csv"):
-            raise ValueError(f"data source must be 'synthetic' or 'csv', got {self.source!r}")
+        if self.source not in DATA_SOURCES:
+            raise ValueError(f"data source must be one of {DATA_SOURCES}, got {self.source!r}")
         if not (self.alpha > 0):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not (0.0 < self.test_fraction < 1.0):
@@ -124,8 +127,8 @@ class ModelConfig:
     activation: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("logistic", "mlp1"):
-            raise ValueError(f"model kind must be 'logistic' or 'mlp1', got {self.kind!r}")
+        if self.kind not in MODEL_KINDS:
+            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
         if self.kind == "logistic" and (self.hidden_dim is not None or self.activation is not None):
             raise ValueError("logistic model takes no hidden_dim/activation")
 
@@ -233,6 +236,17 @@ def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
     return load_csv_dataset(cfg.path, cfg.label_col, cfg.has_header)
 
 
+def prepare_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Partition]:
+    """Build the data, hold out the test split, partition the rest: (train, test, partition)."""
+    full = build_dataset(cfg.data, cfg.seed)
+    train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
+    if cfg.num_clients > len(train):
+        raise ValueError(
+            f"num_clients={cfg.num_clients} exceeds the {len(train)} training samples"
+        )
+    return train, test, dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
+
+
 class FederatedRun:
     """Owns all mutable state of one experiment; advance it round by round."""
 
@@ -241,14 +255,8 @@ class FederatedRun:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.cfg = cfg
         self.threads = threads
-        full = build_dataset(cfg.data, cfg.seed)
-        train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
-        if cfg.num_clients > len(train):
-            raise ValueError(
-                f"num_clients={cfg.num_clients} exceeds the {len(train)} training samples"
-            )
+        train, test, self.partition = prepare_data(cfg)
         self.spec = cfg.model.resolve(train)
-        self.partition = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
         self.shards = [
             ClientShard(cid, train.features[idx], train.labels[idx])
             for cid, idx in enumerate(self.partition.assignment)
@@ -268,26 +276,21 @@ class FederatedRun:
         self.best_acc = -math.inf
         self.best_params = w0
         self.last_delta: ParamVector | None = None
-        self.last_updates: list[ClientUpdate] = []
 
     def _is_eval_round(self, round_idx: int) -> bool:
         return round_idx % self.cfg.eval_every == 0 or round_idx == self.cfg.rounds
 
-    def _evaluate(self) -> tuple[float, float]:
-        return evaluate(self.spec, self.state.w, self.test_batch)
-
     def _record_eval(self) -> tuple[float, float, float]:
-        test_loss, test_acc = self._evaluate()
+        test_loss, test_acc = evaluate(self.spec, self.state.w, self.test_batch)
         if test_acc > self.best_acc:
             self.best_acc = test_acc
             self.best_params = self.state.w
         return test_loss, test_acc, self.best_acc
 
     def _payload_bytes(self, num_selected: int) -> int:
-        vec = 8 * self.spec.param_count
-        down = vec + (vec if self.cfg.opt_c == "scaf" else 0)
-        up = vec + (vec if self.cfg.opt_c == "scaf" else 0)
-        up += 16  # sample count + step count
+        # Each way: the params, plus the control variate under scaf.
+        down = (2 if self.cfg.opt_c == "scaf" else 1) * 8 * self.spec.param_count
+        up = down + 16  # sample count + step count
         if self.cfg.opt_c == "nova":
             up += 8  # coefficient norm
         return num_selected * (down + up)
@@ -330,7 +333,6 @@ class FederatedRun:
         except NonFiniteError as exc:
             raise DivergenceError(round_idx, None, None, str(exc)) from exc
         self.last_delta = delta
-        self.last_updates = updates
 
         train_loss = float(np.mean([u.train_loss for u in updates]))
         test_loss = test_acc = best = None

@@ -1,4 +1,4 @@
-"""Flat float64 parameter vectors and the elementwise kernels built on them.
+"""Flat float64 parameter vectors.
 
 Every model, client update, and server-optimizer state in the simulator
 is a :class:`ParamVector`: an immutable, finite, one-dimensional float64
@@ -52,76 +52,6 @@ class ParamVector:
     def __setattr__(self, name, value):
         raise AttributeError("ParamVector is immutable")
 
-    def allclose(self, other: "ParamVector", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return bool(np.allclose(self.values, other.values, atol=atol, rtol=rtol))
-
     def same_bits(self, other: "ParamVector") -> bool:
         """True when both vectors are byte-identical (the strictest equality)."""
         return self.values.tobytes() == other.values.tobytes()
-
-
-def _check_same_length(a: ParamVector, b: ParamVector) -> None:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-
-
-def add_scaled(a: ParamVector, b: ParamVector, s: float) -> ParamVector:
-    """Return ``a + s * b`` elementwise."""
-    _check_same_length(a, b)
-    s = float(s)
-    if not np.isfinite(s):
-        raise ValueError(f"scale must be finite, got {s}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = a.values + s * b.values
-    return ParamVector(out)
-
-
-_UNARY_OPS = ("sqrt_a", "sign_a")
-_BINARY_OPS = ("mul", "div_eps")
-
-
-def elementwise(
-    a: ParamVector,
-    b: ParamVector | None = None,
-    *,
-    op: str,
-    eps: float | None = None,
-) -> ParamVector:
-    """Apply an elementwise kernel.
-
-    op:
-      - ``mul``:     a * b
-      - ``div_eps``: a / (sqrt(b) + eps), the adaptive-preconditioner quotient
-      - ``sqrt_a``:  sqrt(a)            (b ignored)
-      - ``sign_a``:  sign(a), sign(0)=0 (b ignored)
-    """
-    if op in _BINARY_OPS:
-        if b is None:
-            raise ValueError(f"op {op!r} needs two vectors")
-        _check_same_length(a, b)
-    elif op not in _UNARY_OPS:
-        raise ValueError(f"unknown op {op!r}; expected one of {_BINARY_OPS + _UNARY_OPS}")
-
-    # Inputs are finite by construction; NaN/Inf can only appear here via
-    # sqrt of a negative or overflow, and the ParamVector constructor turns
-    # that into NonFiniteError, so suppress the redundant numpy warnings.
-    with np.errstate(invalid="ignore", over="ignore"):
-        if op == "mul":
-            out = a.values * b.values
-        elif op == "div_eps":
-            if eps is None or not (eps > 0):
-                raise ValueError(f"op 'div_eps' needs eps > 0, got {eps!r}")
-            out = a.values / (np.sqrt(b.values) + eps)
-        elif op == "sqrt_a":
-            out = np.sqrt(a.values)
-        else:  # sign_a
-            out = np.sign(a.values)
-    return ParamVector(out)
-
-
-def l2_norm_sq(a: ParamVector) -> float:
-    """Squared Euclidean norm, accumulated in float64."""
-    out = float(np.dot(a.values, a.values))
-    if not np.isfinite(out):
-        raise NonFiniteError("squared norm overflowed to non-finite")
-    return out

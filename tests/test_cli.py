@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.cli import GridResult, emit_report, main, run_grid
 from fedsim.config import parse_config
 
@@ -80,6 +85,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "opt_c: bogus\n")
     assert main(["run", cfg]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY + "client:\n  weight_decay: .nan\n")
+    assert main(["run", cfg]) == 2
+    assert "client.weight_decay (line 12): must be finite" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -216,3 +227,16 @@ def test_check_verb(capsys):
     printed = capsys.readouterr().out
     assert "ok   gradients" in printed
     assert "FAIL" not in printed
+
+
+def test_python_dash_m_fedsim_runs_check():
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim", "check"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "ok   gradients" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

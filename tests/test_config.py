@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
+from fedsim import config
 from fedsim.config import ConfigError, GridSpec, parse_config, save_config, serialize_config
 from fedsim.orchestrator import ExperimentConfig
 
@@ -141,6 +144,32 @@ def test_semantic_errors_become_config_errors(tmp_path):
         parse_config(write(tmp_path, "client:\n  momentum: 1.5\n"))
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(write(tmp_path, "data:\n  alpha: -1.0\n"))
+
+
+# Every key read through _cast_float; the top-level mapping is inline in
+# the parser, and sample_ratio is its only float key.
+FLOAT_KEYS = ["sample_ratio"] + [
+    f"{section}.{key}"
+    for section, keys in (
+        ("client", config._CLIENT_KEYS),
+        ("server", config._SERVER_KEYS),
+        ("data", config._DATA_KEYS),
+    )
+    for key, caster in keys.items()
+    if caster is config._cast_float
+]
+
+
+@pytest.mark.parametrize("token", [".nan", ".inf", "-.inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected_at_parse(tmp_path, key, token):
+    if "." in key:
+        section, name = key.split(".")
+        text, line = f"rounds: 3\n{section}:\n  {name}: {token}\n", 3
+    else:
+        text, line = f"rounds: 3\n{key}: {token}\n", 2
+    with pytest.raises(ConfigError, match=re.escape(f"{key} (line {line}): must be finite")):
+        parse_config(write(tmp_path, text))
 
 
 def test_duplicate_key_rejected(tmp_path):

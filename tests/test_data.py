@@ -69,6 +69,12 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf, 0.0]]), np.array([0]), num_classes=2)
     with pytest.raises(ValueError):
         Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_classes=2)
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((2, 2)), np.array([-1, 0]), num_classes=2)  # negative label
+    with pytest.raises(ValueError):
+        Dataset(np.zeros(4), np.array([0, 1, 0, 1]), num_classes=2)  # 1-D features
+    with pytest.raises(ValueError):
+        Dataset(np.zeros((3, 2)), np.array([0, 1]), num_classes=2)  # length mismatch
 
 
 # ------------------------------------------------------------------ partition
