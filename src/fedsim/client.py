@@ -26,12 +26,13 @@ entirely, so disabling one reproduces the plain path bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import epoch_batches
-from .model import Batch, ModelSpec, loss_and_grad
+from .model import Batch, ModelSpec, loss_and_grad, validate_xy
 from .params import NonFiniteError, ParamVector
 
 CLIENT_OPTIMIZERS = ("sgd", "prox", "scaf", "nova")
@@ -73,14 +74,14 @@ class ClientConfig:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0):
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (0.0 < self.lr < math.inf):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.prox_mu < 0:
-            raise ValueError(f"prox_mu must be >= 0, got {self.prox_mu}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
+        if not (0.0 <= self.prox_mu < math.inf):
+            raise ValueError(f"prox_mu must be >= 0 and finite, got {self.prox_mu}")
         if self.control_option not in CONTROL_OPTIONS:
             raise ValueError(
                 f"control_option must be one of {CONTROL_OPTIONS}, got {self.control_option!r}"
@@ -89,18 +90,27 @@ class ClientConfig:
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's local data, fixed for the whole simulation."""
+    """One client's local data, fixed for the whole simulation.
+
+    The arrays are validated once, here, by ``validate_xy``; every batch
+    cut from them later is trusted.
+    """
 
     client_id: int
     features: np.ndarray
     labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        feats, labs = validate_xy(self.features, self.labels)
+        object.__setattr__(self, "features", feats)
+        object.__setattr__(self, "labels", labs)
 
     @property
     def num_samples(self) -> int:
         return int(self.labels.shape[0])
 
     def as_batch(self) -> Batch:
-        return Batch(self.features, self.labels)
+        return Batch._of_rows(self.features, self.labels)
 
 
 @dataclass(frozen=True)
@@ -189,66 +199,76 @@ def local_train(
         correction = global_c.values - local_c.values
     else:
         correction = None
+    prox_mu = cfg.prox_mu if cfg.opt_c == "prox" else 0.0
 
-    w = global_w.values.copy()
-    u = np.zeros_like(w)
+    # Scratch buffers owned by this call, so client threads share none.
+    # They are updated in place with the same operations, in the same
+    # order, as the formula above, so the bits match it.  Each step's w is
+    # a fresh array: no ParamVector handed out is ever written to.
+    w0 = global_w.values
+    tmp = np.empty_like(w0)
+    g_buf = np.empty_like(w0)
+    u = np.zeros_like(w0)
+    w = global_w
     step = 0
     last_epoch_losses: list[float] = []
     indices = np.arange(shard.num_samples)
-    for epoch in range(cfg.local_epochs):
-        final_epoch = epoch == cfg.local_epochs - 1
-        for batch_idx in epoch_batches(indices, cfg.batch_size, epoch, seed):
-            batch = Batch(shard.features[batch_idx], shard.labels[batch_idx])
-            try:
-                loss, grad = loss_and_grad(spec, ParamVector(w), batch)
-            except NonFiniteError as exc:
-                raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
-            g = grad.values
-            # Overflow here shows up as non-finite w and is reported as
-            # DivergenceError below, so numpy's own warning is redundant.
-            with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow shows up as a non-finite loss or w and is reported as
+    # DivergenceError, so numpy's own warning is redundant.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.local_epochs):
+            final_epoch = epoch == cfg.local_epochs - 1
+            for batch_idx in epoch_batches(indices, cfg.batch_size, epoch, seed):
+                batch = Batch._of_rows(shard.features[batch_idx], shard.labels[batch_idx])
+                try:
+                    loss, grad = loss_and_grad(spec, w, batch)
+                except NonFiniteError as exc:
+                    raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
+                g = grad.values
                 if correction is not None:
-                    g = g + correction
-                elif cfg.opt_c == "prox" and cfg.prox_mu != 0.0:
-                    g = g + cfg.prox_mu * (w - global_w.values)
+                    g = np.add(g, correction, out=g_buf)
+                elif prox_mu != 0.0:
+                    np.subtract(w.values, w0, out=tmp)
+                    tmp *= prox_mu
+                    g = np.add(g, tmp, out=g_buf)
                 if cfg.weight_decay != 0.0:
-                    g = g + cfg.weight_decay * w
+                    np.multiply(w.values, cfg.weight_decay, out=tmp)
+                    g = np.add(g, tmp, out=g_buf)
                 if cfg.momentum != 0.0:
-                    u = cfg.momentum * u + g
+                    u *= cfg.momentum
+                    u += g
                 else:
                     u = g
-                w = w - cfg.lr * u
-            step += 1
-            if not np.all(np.isfinite(w)):
-                raise DivergenceError(
-                    round_idx, shard.client_id, step, "parameters became NaN or Inf"
-                )
-            if final_epoch:
-                last_epoch_losses.append(loss)
+                np.multiply(u, cfg.lr, out=tmp)
+                step += 1
+                try:
+                    w = ParamVector._own(w.values - tmp)
+                except NonFiniteError:
+                    raise DivergenceError(
+                        round_idx, shard.client_id, step, "parameters became NaN or Inf"
+                    ) from None
+                if final_epoch:
+                    last_epoch_losses.append(loss)
 
-    try:
-        delta = ParamVector(w - global_w.values)
-    except NonFiniteError as exc:
-        raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
-
-    new_local_c: ParamVector | None = None
-    delta_control: ParamVector | None = None
-    if cfg.opt_c == "scaf":
+        new_local_c: ParamVector | None = None
+        delta_control: ParamVector | None = None
         try:
-            new_local_c = update_control_variate(
-                cfg.control_option,
-                spec,
-                shard,
-                global_w,
-                ParamVector(w),
-                global_c,
-                local_c,
-                steps=step,
-                lr=cfg.lr,
-            )
+            delta = ParamVector._own(w.values - w0)
+            if cfg.opt_c == "scaf":
+                new_local_c = update_control_variate(
+                    cfg.control_option,
+                    spec,
+                    shard,
+                    global_w,
+                    w,
+                    global_c,
+                    local_c,
+                    steps=step,
+                    lr=cfg.lr,
+                )
+                delta_control = ParamVector(new_local_c.values - local_c.values)
         except NonFiniteError as exc:
             raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
-        delta_control = ParamVector(new_local_c.values - local_c.values)
 
     update = ClientUpdate(
         client_id=shard.client_id,

@@ -155,7 +155,7 @@ def dirichlet_partition(ds: Dataset, num_clients: int, alpha: float, seed: int) 
         shuffled = rng.permutation(idx_k)
         bounds = np.cumsum(counts)[:-1]
         for cid, chunk in enumerate(np.split(shuffled, bounds)):
-            lists[cid].extend(int(i) for i in chunk)
+            lists[cid].extend(chunk.tolist())
     sizes = np.array([len(l) for l in lists], dtype=np.int64)
     while (sizes == 0).any():
         empty = int(np.argmax(sizes == 0))

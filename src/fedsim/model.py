@@ -78,7 +78,7 @@ def validate_xy(features, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if feats.shape[0] == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(feats)):
+    if not np.isfinite(feats).all():
         raise ValueError("features contain NaN or Inf")
     if not np.issubdtype(labs.dtype, np.integer):
         raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
@@ -98,6 +98,17 @@ class Batch:
         feats, labs = validate_xy(self.features, self.labels)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
+
+    @classmethod
+    def _of_rows(cls, features: np.ndarray, labels: np.ndarray) -> "Batch":
+        """Batch of rows cut from arrays ``validate_xy`` already accepted.
+
+        Skips the validation ``Batch(...)`` does for every other caller.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "features", features)
+        object.__setattr__(batch, "labels", labels)
+        return batch
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
@@ -157,7 +168,9 @@ def _cross_entropy(spec: ModelSpec, params: ParamVector, batch: Batch):
         )
     logits, cache = _forward(spec, params.values, batch.features)
     logp = _log_softmax(logits)
-    loss = -logp[np.arange(len(batch)), batch.labels].mean()
+    n = len(batch)
+    # np.mean's own float64 arithmetic, without its Python-level overhead.
+    loss = -(logp[np.arange(n), batch.labels].sum() / n)
     if not np.isfinite(loss):
         raise NonFiniteError("loss is NaN or Inf")
     return float(loss), logits, logp, cache
@@ -193,7 +206,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[f
         dw1 = feats.T @ dpre
         db1 = dpre.sum(axis=0)
         grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-    return loss, ParamVector(grad)
+    return loss, ParamVector._own(grad)
 
 
 def finite_diff_grad(

@@ -104,15 +104,15 @@ class DataConfig:
     def __post_init__(self) -> None:
         if self.source not in DATA_SOURCES:
             raise ValueError(f"data source must be one of {DATA_SOURCES}, got {self.source!r}")
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.source == "synthetic":
             if self.num_classes < 2 or self.dim < 1 or self.samples_per_class < 1:
                 raise ValueError("synthetic data needs num_classes >= 2, dim >= 1, samples_per_class >= 1")
-            if not (self.spread > 0):
-                raise ValueError(f"spread must be positive, got {self.spread}")
+            if not (0.0 < self.spread < math.inf):
+                raise ValueError(f"spread must be positive and finite, got {self.spread}")
         else:
             if not self.path:
                 raise ValueError("csv data source needs a path")

@@ -17,6 +17,13 @@ class NonFiniteError(ArithmeticError):
     """Raised when a vector operation would produce or store NaN/Inf."""
 
 
+def _frozen_finite(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError("vector contains NaN or Inf")
+    arr.setflags(write=False)
+    return arr
+
+
 class ParamVector:
     """Immutable flat vector of float64 values.
 
@@ -31,11 +38,18 @@ class ParamVector:
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"expected a flat vector, got array of shape {arr.shape}")
-        arr = arr.copy()
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("vector contains NaN or Inf")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_finite(arr.copy()))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "ParamVector":
+        """Wrap a freshly computed 1-D float64 array without copying it.
+
+        Only for arrays nothing else references: the caller hands
+        ``arr`` over, and it is checked finite and marked read-only here.
+        """
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "values", _frozen_finite(arr))
+        return vec
 
     @classmethod
     def zeros(cls, length: int) -> "ParamVector":

@@ -22,6 +22,7 @@ w <- beta1 * w + step, and adam's v update subtracts instead of adding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,14 +46,14 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.opt_s not in SERVER_OPTIMIZERS:
             raise ValueError(f"unknown opt_s {self.opt_s!r}; expected one of {SERVER_OPTIMIZERS}")
-        if self.server_lr is not None and not (self.server_lr > 0):
-            raise ValueError(f"server_lr must be positive, got {self.server_lr}")
+        if self.server_lr is not None and not (0.0 < self.server_lr < math.inf):
+            raise ValueError(f"server_lr must be positive and finite, got {self.server_lr}")
         if not (0.0 <= self.beta1 < 1.0):
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not (0.0 <= self.beta2 < 1.0):
             raise ValueError(f"beta2 must be in [0, 1), got {self.beta2}")
-        if not (self.eps > 0):
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not (0.0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps}")
 
     @property
     def lr(self) -> float:
@@ -132,24 +133,25 @@ def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> Se
     """Apply one server-optimizer update; returns the new state."""
     if len(delta) != len(state.w):
         raise ValueError(f"delta length {len(delta)} does not match params {len(state.w)}")
-    if cfg.opt_s == "sgd":
-        new_w = ParamVector(state.w.values + cfg.lr * delta.values)
-        return replace(state, w=new_w, round_idx=state.round_idx + 1)
+    # Overflow or a damped adam's negative v (sqrt -> NaN) yields a
+    # non-finite vector, which ParamVector reports as NonFiniteError
+    # (divergence), so numpy's own warning is redundant.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.opt_s == "sgd":
+            new_w = ParamVector(state.w.values + cfg.lr * delta.values)
+            return replace(state, w=new_w, round_idx=state.round_idx + 1)
 
-    d = delta.values
-    m = cfg.beta1 * state.m.values + (1.0 - cfg.beta1) * d
-    d2 = d * d
-    if cfg.opt_s == "adagrad":
-        v = state.v.values + d2
-    elif cfg.opt_s == "yogi":
-        v = state.v.values - (1.0 - cfg.beta2) * d2 * np.sign(state.v.values - d2)
-    elif cfg.damped:
-        v = cfg.beta2 * state.v.values - (1.0 - cfg.beta2) * d2
-    else:
-        v = cfg.beta2 * state.v.values + (1.0 - cfg.beta2) * d2
-    # A damped adam v can go negative; sqrt then yields NaN, which the
-    # ParamVector constructor reports as NonFiniteError (divergence).
-    with np.errstate(invalid="ignore"):
+        d = delta.values
+        m = cfg.beta1 * state.m.values + (1.0 - cfg.beta1) * d
+        d2 = d * d
+        if cfg.opt_s == "adagrad":
+            v = state.v.values + d2
+        elif cfg.opt_s == "yogi":
+            v = state.v.values - (1.0 - cfg.beta2) * d2 * np.sign(state.v.values - d2)
+        elif cfg.damped:
+            v = cfg.beta2 * state.v.values - (1.0 - cfg.beta2) * d2
+        else:
+            v = cfg.beta2 * state.v.values + (1.0 - cfg.beta2) * d2
         step = cfg.lr * m / (np.sqrt(v) + cfg.eps)
         if cfg.damped:
             new_w = cfg.beta1 * state.w.values + step

@@ -18,19 +18,22 @@ from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
 from fedsim.params import ParamVector
 
 SPEC = ModelSpec("logistic", 4, 3)
+MLP_RELU = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="relu")
+MLP_TANH = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="tanh")
 
 
-def make_shard(cid=0, n=20, seed=0) -> ClientShard:
+def make_shard(cid=0, n=20, seed=0, spec=SPEC) -> ClientShard:
     rng = np.random.default_rng(seed)
     return ClientShard(
         cid,
-        rng.normal(size=(n, SPEC.input_dim)),
-        rng.integers(0, SPEC.num_classes, size=n).astype(np.int64),
+        rng.normal(size=(n, spec.input_dim)),
+        rng.integers(0, spec.num_classes, size=n).astype(np.int64),
     )
 
 
 def replay(shard: ClientShard, w0: ParamVector, cfg: ClientConfig, seed: int,
-           c_global: np.ndarray | None = None, c_local: np.ndarray | None = None):
+           c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
+           spec: ModelSpec = SPEC):
     """Straight-line reimplementation of the local update loop."""
     w = w0.values.copy()
     u = np.zeros_like(w)
@@ -38,7 +41,7 @@ def replay(shard: ClientShard, w0: ParamVector, cfg: ClientConfig, seed: int,
     steps = 0
     for epoch in range(cfg.local_epochs):
         for bidx in epoch_batches(np.arange(shard.num_samples), cfg.batch_size, epoch, seed):
-            loss, grad = loss_and_grad(SPEC, ParamVector(w), Batch(shard.features[bidx], shard.labels[bidx]))
+            loss, grad = loss_and_grad(spec, ParamVector(w), Batch(shard.features[bidx], shard.labels[bidx]))
             g = grad.values.copy()
             if cfg.opt_c == "scaf":
                 g = g + (c_global - c_local)
@@ -136,23 +139,59 @@ def test_step_count_is_epochs_times_batches():
 # ------------------------------------------------------------------ replay oracles
 
 
-@pytest.mark.parametrize("opt_c", ["sgd", "prox", "nova"])
-def test_local_train_matches_replay(opt_c):
-    shard = make_shard(n=19, seed=3)
-    w0 = init_params(SPEC, 2)
+def _replay_cases():
+    """Every in-place branch of the step loop, on each architecture."""
+    for name, spec in (("logistic", SPEC), ("relu", MLP_RELU), ("tanh", MLP_TANH)):
+        for opt_c in ("sgd", "prox", "nova"):
+            for momentum in (0.0, 0.9):
+                for weight_decay in (0.0, 1e-4):
+                    # The logistic cases with momentum and weight decay
+                    # keep their original ids.
+                    plain = spec is SPEC and momentum and weight_decay
+                    case = opt_c if plain else f"{name}-{opt_c}-m{momentum}-wd{weight_decay}"
+                    yield pytest.param(spec, opt_c, momentum, weight_decay, 0.05, id=case)
+        yield pytest.param(spec, "prox", 0.9, 1e-4, 0.0, id=f"{name}-prox-mu0")
+
+
+@pytest.mark.parametrize("spec,opt_c,momentum,weight_decay,prox_mu", list(_replay_cases()))
+def test_local_train_matches_replay(spec, opt_c, momentum, weight_decay, prox_mu):
+    shard = make_shard(n=19, seed=3, spec=spec)
+    w0 = init_params(spec, 2)
     cfg = ClientConfig(
         opt_c=opt_c, local_epochs=2, batch_size=5, lr=0.05,
-        momentum=0.9, weight_decay=1e-4, prox_mu=0.05,
+        momentum=momentum, weight_decay=weight_decay, prox_mu=prox_mu,
     )
-    update, _ = local_train(SPEC, w0, shard, cfg, round_idx=4, seed=11)
-    w_ref, steps_ref, loss_ref = replay(shard, w0, cfg, seed=11)
+    update, _ = local_train(spec, w0, shard, cfg, round_idx=4, seed=11)
+    w_ref, steps_ref, loss_ref = replay(shard, w0, cfg, seed=11, spec=spec)
     npt.assert_array_equal(update.delta.values, w_ref - w0.values)
     assert update.step_count == steps_ref
     assert update.train_loss == loss_ref
     if opt_c == "nova":
-        assert update.coeff_norm == pytest.approx(accum_coeff_norm(0.9, steps_ref), rel=1e-15)
+        assert update.coeff_norm == pytest.approx(
+            accum_coeff_norm(momentum, steps_ref), rel=1e-15
+        )
     else:
         assert update.coeff_norm is None
+
+
+def test_returned_vectors_are_read_only_and_not_aliased():
+    shard = make_shard(n=19, seed=3)
+    w0 = init_params(SPEC, 2)
+    w0_bits = w0.values.copy()
+    rng = np.random.default_rng(6)
+    c_g = ParamVector(0.01 * rng.normal(size=len(w0)))
+    c_l = ParamVector(0.01 * rng.normal(size=len(w0)))
+    cfg = ClientConfig(opt_c="scaf", local_epochs=2, batch_size=5, control_option="I")
+    update, new_c = local_train(SPEC, w0, shard, cfg, 1, 11, global_c=c_g, local_c=c_l)
+    returned = (update.delta, update.delta_control, new_c)
+    kept = [vec.values.copy() for vec in returned]
+    for vec in returned:
+        assert not vec.values.flags.writeable
+    # A later call must not write through any buffer of the first one.
+    local_train(SPEC, w0, make_shard(n=23, seed=4), cfg, 2, 12, global_c=c_g, local_c=new_c)
+    for vec, bits in zip(returned, kept):
+        npt.assert_array_equal(vec.values, bits)
+    npt.assert_array_equal(w0.values, w0_bits)
 
 
 def test_scaf_matches_replay_and_option_two_identity():
@@ -285,6 +324,31 @@ def test_scaf_requires_control_variates():
     w0 = init_params(SPEC, 0)
     with pytest.raises(ValueError):
         local_train(SPEC, w0, shard, ClientConfig(opt_c="scaf"), 1, 0)
+
+
+@pytest.mark.parametrize(
+    "features, labels",
+    [
+        (np.zeros((3, 4)), np.array([0, -1, 2])),
+        (np.array([[0.0, np.nan, 0.0, 0.0]] * 3), np.array([0, 1, 2])),
+        (np.zeros(4), np.array([0, 1, 2, 0])),
+        (np.zeros((3, 4)), np.array([0, 1])),
+    ],
+    ids=["negative-label", "nan-feature", "1d-features", "count-mismatch"],
+)
+def test_shard_validates_at_construction(features, labels):
+    with pytest.raises(ValueError):
+        ClientShard(0, features, labels)
+
+
+def test_overflow_in_forward_pass_is_a_divergence():
+    shard = make_shard(n=10, seed=3)
+    w0 = ParamVector(np.full(SPEC.param_count, 1e308))
+    with pytest.raises(DivergenceError) as exc_info:
+        local_train(SPEC, w0, shard, ClientConfig(batch_size=4), round_idx=2, seed=1)
+    err = exc_info.value
+    assert (err.round_idx, err.client_id, err.step) == (2, 0, 0)
+    assert str(err).endswith("loss is NaN or Inf")
 
 
 def test_divergence_error_carries_location():

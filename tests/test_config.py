@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import math
 import re
 
 import pytest
 
 from fedsim import config
+from fedsim.client import ClientConfig
 from fedsim.config import ConfigError, GridSpec, parse_config, save_config, serialize_config
-from fedsim.orchestrator import ExperimentConfig
+from fedsim.orchestrator import DataConfig, ExperimentConfig
+from fedsim.server import ServerConfig
 
 
 def write(tmp_path, text: str):
@@ -280,3 +283,22 @@ def test_grid_serialize_roundtrip(tmp_path):
     )
     reparsed = parse_config(write(tmp_path, serialize_config(spec)))
     assert reparsed == spec
+
+
+_FLOAT_FIELDS = {
+    ClientConfig: ("lr", "momentum", "weight_decay", "prox_mu"),
+    ServerConfig: ("server_lr", "beta1", "beta2", "eps"),
+    DataConfig: ("alpha", "test_fraction", "spread"),
+    ExperimentConfig: ("sample_ratio",),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, name) for cls, names in _FLOAT_FIELDS.items() for name in names],
+    ids=lambda x: x.__name__ if isinstance(x, type) else x,
+)
+def test_non_finite_float_rejected_in_python(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedsim import client as client_mod
 from fedsim.client import ClientConfig
 from fedsim.data import gen_synthetic, split_train_test
 from fedsim.model import Batch, loss_and_grad
@@ -368,3 +369,34 @@ def test_experiment_config_validation():
         DataConfig(source="csv")  # missing path
     with pytest.raises(ValueError):
         ModelConfig(kind="logistic", hidden_dim=4)
+
+
+def test_traced_benchmark_hooks_hold(monkeypatch):
+    """The hooks the traced benchmark wraps: one loss_and_grad per step,
+    reached through ``fedsim.client.loss_and_grad``; one ``_train_one``
+    per selected client; ``threads`` passed positionally."""
+    grads = []
+    real_loss_and_grad = client_mod.loss_and_grad
+
+    def counting_loss_and_grad(spec, params, batch):
+        grads.append((type(params), type(batch), len(batch), batch.features.shape[0]))
+        return real_loss_and_grad(spec, params, batch)
+
+    trained = []
+    real_train_one = FederatedRun._train_one
+
+    def counting_train_one(self, round_idx, cid):
+        result = real_train_one(self, round_idx, cid)
+        trained.append((round_idx, cid, result[0].step_count))
+        return result
+
+    monkeypatch.setattr(client_mod, "loss_and_grad", counting_loss_and_grad)
+    monkeypatch.setattr(FederatedRun, "_train_one", counting_train_one)
+    result = FederatedRun(tiny_config(), 1).run()
+    assert result.status == "ok"
+    selected = [(rm.round_idx, cid) for rm in result.metrics for cid in rm.selected]
+    assert [(r, cid) for r, cid, _ in trained] == selected
+    assert len(grads) == sum(steps for _, _, steps in trained) > 0
+    for params_type, batch_type, n, rows in grads:
+        assert params_type is ParamVector and batch_type is Batch
+        assert n == rows

@@ -7,6 +7,15 @@ import pytest
 from fedsim.params import NonFiniteError, ParamVector
 
 
+def test_own_wraps_without_copy_but_checks_and_freezes():
+    fresh = np.array([1.0, 2.0])
+    pv = ParamVector._own(fresh)
+    assert pv.values is fresh
+    assert not fresh.flags.writeable
+    with pytest.raises(NonFiniteError):
+        ParamVector._own(np.array([1.0, np.inf]))
+
+
 def test_construction_copies_and_freezes():
     src = np.array([1.0, 2.0, 3.0])
     pv = ParamVector(src)

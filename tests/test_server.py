@@ -246,3 +246,13 @@ def test_damped_sgd_is_unchanged():
     a = server_step(state, ParamVector([0.5]), ServerConfig(opt_s="sgd"))
     b = server_step(state, ParamVector([0.5]), ServerConfig(opt_s="sgd", damped=True))
     assert a.w.same_bits(b.w)
+
+
+@pytest.mark.parametrize("opt_s", ["sgd", "adam"])
+def test_server_step_overflow_is_non_finite_error(opt_s):
+    # sgd overflows in w + lr * delta, adam in delta**2; either way the
+    # result is a divergence, not a stray numpy warning.
+    state = ServerState.initial(ParamVector.zeros(3))
+    cfg = ServerConfig(opt_s=opt_s, server_lr=1e300)
+    with pytest.raises(NonFiniteError):
+        server_step(state, ParamVector(np.full(3, 1e200)), cfg)
