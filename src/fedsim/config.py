@@ -15,9 +15,9 @@ optimizer pair::
 """
 from __future__ import annotations
 
-import math
+import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import yaml
@@ -36,34 +36,18 @@ class ConfigError(ValueError):
 # YAML loading that remembers the line of every key (for error messages)
 
 
-def _scalar_value(node: yaml.ScalarNode, path: str, line: int):
-    tag = node.tag.rsplit(":", 1)[-1]
-    text = node.value
-    if tag == "null":
-        return None
-    if tag == "bool":
-        return text.lower() in ("true", "yes", "on")
-    try:
-        if tag == "int":
-            try:
-                return int(text)
-            except ValueError:
-                return int(text, 0)
-        if tag == "float":
-            lowered = text.lower().replace("_", "")
-            if lowered.endswith(".inf"):
-                return -math.inf if lowered.startswith("-") else math.inf
-            if lowered.endswith(".nan"):
-                return math.nan
-            return float(lowered)
-    except ValueError:
-        raise ConfigError(f"{path} (line {line}): cannot parse scalar {text!r}") from None
-    if tag == "str":
-        return text
-    raise ConfigError(f"{path} (line {line}): unsupported YAML node type {node.tag!r}")
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe scalar typing, plus YAML 1.2's exponent floats (``1e-3``)."""
 
 
-def _node_to_obj(node: yaml.Node, path: str, lines: dict[str, int]):
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
+def _node_to_obj(loader: _Loader, node: yaml.Node, path: str, lines: dict[str, int]):
     if isinstance(node, yaml.MappingNode):
         out = {}
         for key_node, value_node in node.value:
@@ -71,32 +55,38 @@ def _node_to_obj(node: yaml.Node, path: str, lines: dict[str, int]):
             child = f"{path}.{key}" if path else key
             lines[child] = key_node.start_mark.line + 1
             if key in out:
-                raise ConfigError(f"{child} (line {lines[child]}): duplicate key")
-            out[key] = _node_to_obj(value_node, child, lines)
+                raise _err(child, lines, "duplicate key")
+            out[key] = _node_to_obj(loader, value_node, child, lines)
         return out
     if isinstance(node, yaml.SequenceNode):
         return [
-            _node_to_obj(item, f"{path}[{i}]", lines) for i, item in enumerate(node.value)
+            _node_to_obj(loader, item, f"{path}[{i}]", lines)
+            for i, item in enumerate(node.value)
         ]
-    return _scalar_value(node, path, lines.get(path, 0))
+    try:
+        return loader.construct_object(node, deep=True)
+    except yaml.constructor.ConstructorError:
+        raise _err(path, lines, f"unsupported YAML node type {node.tag!r}") from None
+    except (ValueError, KeyError, AttributeError):  # ``!!int x``, ``!!bool x``, ``!!timestamp x``
+        raise _err(path, lines, f"cannot parse scalar {node.value!r}") from None
 
 
 def _load_yaml_tree(text: str) -> tuple[dict, dict[str, int]]:
+    loader, lines = _Loader(text), {}
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        root = loader.get_single_node()
+        obj = {} if root is None else _node_to_obj(loader, root, "", lines)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
-    if root is None:
-        return {}, {}
-    lines: dict[str, int] = {}
-    obj = _node_to_obj(root, "", lines)
+    finally:
+        loader.dispose()
     if not isinstance(obj, dict):
         raise ConfigError("top level must be a mapping of keys to values")
     return obj, lines
 
 
 # ------------------------------------------------------------------
-# Schema
+# Schema: each section's keys and types are its dataclass's fields
 
 
 def _err(path: str, lines: dict[str, int], msg: str) -> ConfigError:
@@ -114,9 +104,7 @@ def _take(section: dict, lines: dict[str, int], path: str, allowed: dict) -> dic
             out[key] = caster(section.pop(key), child, lines)
     for key in section:
         child = f"{path}.{key}" if path else key
-        raise _err(
-            child, lines, f"unknown key; expected one of {sorted(allowed)}"
-        )
+        raise _err(child, lines, f"unknown key; expected one of {sorted(allowed)}")
     return out
 
 
@@ -146,6 +134,20 @@ def _cast_str(value, path, lines) -> str:
     return value
 
 
+def _cast_int_or_str(value, path, lines):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise _err(path, lines, f"expected a column index or name, got {value!r}")
+    return value
+
+
+def _cast_mapping(value, path, lines) -> dict:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise _err(path, lines, "expected a mapping of settings")
+    return value
+
+
 def _cast_token(valid: tuple[str, ...]):
     def cast(value, path, lines):
         if value not in valid:
@@ -153,12 +155,6 @@ def _cast_token(valid: tuple[str, ...]):
         return value
 
     return cast
-
-
-def _cast_label_col(value, path, lines):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise _err(path, lines, f"expected a column index or name, got {value!r}")
-    return value
 
 
 def _cast_list(item_caster):
@@ -172,46 +168,62 @@ def _cast_list(item_caster):
     return cast
 
 
-_CLIENT_KEYS = {
-    "local_epochs": _cast_int,
-    "batch_size": _cast_int,
-    "lr": _cast_float,
-    "momentum": _cast_float,
-    "weight_decay": _cast_float,
-    "prox_mu": _cast_float,
-    "control_option": _cast_token(CONTROL_OPTIONS),
+# Field type (as annotated, less a trailing "| None") -> caster.  YAML
+# null is rejected for every key: an optional field stays unset by
+# leaving its key out.
+_CASTERS = {
+    "int": _cast_int,
+    "float": _cast_float,
+    "bool": _cast_bool,
+    "str": _cast_str,
+    "int | str": _cast_int_or_str,
 }
 
-_SERVER_KEYS = {
-    "server_lr": _cast_float,
-    "beta1": _cast_float,
-    "beta2": _cast_float,
-    "eps": _cast_float,
-    "damped": _cast_bool,
+_TOKENS = {
+    "opt_c": CLIENT_OPTIMIZERS,
+    "opt_s": SERVER_OPTIMIZERS,
+    "control_option": CONTROL_OPTIONS,
+    "kind": MODEL_KINDS,
+    "activation": ACTIVATIONS,
+    "source": DATA_SOURCES,
 }
 
-_MODEL_KEYS = {
-    "kind": _cast_token(MODEL_KINDS),
-    "hidden_dim": _cast_int,
-    "activation": _cast_token(ACTIVATIONS),
+_SECTIONS = {
+    "client": ClientConfig,
+    "server": ServerConfig,
+    "model": ModelConfig,
+    "data": DataConfig,
 }
 
-_DATA_KEYS = {
-    "source": _cast_token(DATA_SOURCES),
-    "alpha": _cast_float,
-    "test_fraction": _cast_float,
-    "num_classes": _cast_int,
-    "dim": _cast_int,
-    "samples_per_class": _cast_int,
-    "spread": _cast_float,
-    "path": _cast_str,
-    "label_col": _cast_label_col,
-    "has_header": _cast_bool,
+# Top-level keys that set a field of a section: ``opt_c: scaf`` is client.opt_c.
+_HOISTED = {"opt_c": "client", "opt_s": "server"}
+
+
+def _schema(cls) -> dict:
+    """Key -> caster for the plain fields of ``cls``, read off their types."""
+    return {
+        f.name: _cast_token(_TOKENS[f.name])
+        if f.name in _TOKENS
+        else _CASTERS[f.type.removesuffix(" | None")]
+        for f in fields(cls)
+        if f.name not in _HOISTED and f.name not in _SECTIONS
+    }
+
+
+_SECTION_KEYS = {name: _schema(cls) for name, cls in _SECTIONS.items()}
+_CLIENT_KEYS = _SECTION_KEYS["client"]
+_SERVER_KEYS = _SECTION_KEYS["server"]
+_DATA_KEYS = _SECTION_KEYS["data"]
+
+_TOP_KEYS = {
+    **{key: _cast_token(_TOKENS[key]) for key in _HOISTED},
+    **_schema(ExperimentConfig),
+    **dict.fromkeys(_SECTIONS, _cast_mapping),
 }
 
 _GRID_KEYS = {
-    "opt_c": _cast_list(_cast_token(CLIENT_OPTIMIZERS)),
-    "opt_s": _cast_list(_cast_token(SERVER_OPTIMIZERS)),
+    "opt_c": _cast_list(_TOP_KEYS["opt_c"]),
+    "opt_s": _cast_list(_TOP_KEYS["opt_s"]),
     "seeds": _cast_list(_cast_int),
     "checkpoints": _cast_list(_cast_int),
 }
@@ -236,8 +248,7 @@ class GridSpec:
             if s < 0:
                 raise ValueError(f"grid seeds must be >= 0, got {s}")
         for t in self.checkpoints:
-            evaluated = t % self.base.eval_every == 0 or t == self.base.rounds
-            if not (0 < t <= self.base.rounds) or not evaluated:
+            if not (0 < t <= self.base.rounds) or not self.base.is_eval_round(t):
                 raise ValueError(
                     f"checkpoint {t} is never evaluated (rounds={self.base.rounds}, "
                     f"eval_every={self.base.eval_every})"
@@ -268,49 +279,16 @@ class GridSpec:
 
 
 def _build_experiment(tree: dict, lines: dict[str, int]) -> ExperimentConfig:
-    top = _take(
-        tree,
-        lines,
-        "",
-        {
-            "opt_c": _cast_token(CLIENT_OPTIMIZERS),
-            "opt_s": _cast_token(SERVER_OPTIMIZERS),
-            "num_clients": _cast_int,
-            "sample_ratio": _cast_float,
-            "rounds": _cast_int,
-            "eval_every": _cast_int,
-            "seed": _cast_int,
-            "client": lambda v, p, l: v,
-            "server": lambda v, p, l: v,
-            "model": lambda v, p, l: v,
-            "data": lambda v, p, l: v,
-        },
-    )
-
-    def section(name: str, keys: dict) -> dict:
-        raw = top.pop(name, {})
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise _err(name, lines, "expected a mapping of settings")
-        return _take(dict(raw), lines, name, keys)
-
-    client_kw = section("client", _CLIENT_KEYS)
-    server_kw = section("server", _SERVER_KEYS)
-    model_kw = section("model", _MODEL_KEYS)
-    data_kw = section("data", _DATA_KEYS)
-    if "opt_c" in top:
-        client_kw["opt_c"] = top.pop("opt_c")
-    if "opt_s" in top:
-        server_kw["opt_s"] = top.pop("opt_s")
-
+    top = _take(tree, lines, "", _TOP_KEYS)
+    sections = {
+        name: _take(top.pop(name, {}), lines, name, _SECTION_KEYS[name]) for name in _SECTIONS
+    }
+    for key, name in _HOISTED.items():
+        if key in top:
+            sections[name][key] = top.pop(key)
     try:
         return ExperimentConfig(
-            client=ClientConfig(**client_kw),
-            server=ServerConfig(**server_kw),
-            model=ModelConfig(**model_kw),
-            data=DataConfig(**data_kw),
-            **top,
+            **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()}, **top
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -331,8 +309,8 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
     if not isinstance(grid_raw, dict):
         raise _err("grid", lines, "expected a mapping of sweep settings")
     grid_kw = _take(dict(grid_raw), lines, "grid", _GRID_KEYS)
-    fields = {"opt_c": "opt_c_values", "opt_s": "opt_s_values"}
-    kwargs = {fields.get(key, key): value for key, value in grid_kw.items()}
+    renamed = {"opt_c": "opt_c_values", "opt_s": "opt_s_values"}
+    kwargs = {renamed.get(key, key): value for key, value in grid_kw.items()}
     try:
         return GridSpec(base=base, **kwargs)
     except ValueError as exc:
@@ -344,23 +322,13 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
 
 
 def _experiment_dict(cfg: ExperimentConfig) -> dict:
-    client = asdict(cfg.client)
-    server = asdict(cfg.server)
-    data = {k: v for k, v in asdict(cfg.data).items() if v is not None}
-    model = {k: v for k, v in asdict(cfg.model).items() if v is not None}
-    out = {
-        "opt_c": client.pop("opt_c"),
-        "opt_s": server.pop("opt_s"),
-        "num_clients": cfg.num_clients,
-        "sample_ratio": cfg.sample_ratio,
-        "rounds": cfg.rounds,
-        "eval_every": cfg.eval_every,
-        "seed": cfg.seed,
-        "client": client,
-        "server": {k: v for k, v in server.items() if v is not None},
-        "model": model,
-        "data": data,
-    }
+    out = {}
+    for key in _TOP_KEYS:
+        value = getattr(cfg, key)
+        if key in _SECTIONS:
+            keys = _SECTION_KEYS[key]
+            value = {k: v for k, v in asdict(value).items() if k in keys and v is not None}
+        out[key] = value
     return out
 
 

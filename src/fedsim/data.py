@@ -141,8 +141,8 @@ def dirichlet_partition(ds: Dataset, num_clients: int, alpha: float, seed: int) 
         raise ValueError(f"alpha must be positive, got {alpha}")
     if num_clients > len(ds):
         raise ValueError(
-            f"cannot split {len(ds)} samples across {num_clients} clients "
-            "with at least one sample each"
+            f"num_clients={num_clients} exceeds the {len(ds)} samples "
+            "to split with at least one per client"
         )
     rng = seeded_rng(seed, TAG_PARTITION)
     lists: list[list[int]] = [[] for _ in range(num_clients)]

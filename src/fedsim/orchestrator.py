@@ -170,6 +170,10 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
+    def is_eval_round(self, round_idx: int) -> bool:
+        """Rounds evaluated on the test set: every eval_every-th, and the last."""
+        return round_idx % self.eval_every == 0 or round_idx == self.rounds
+
     @property
     def opt_c(self) -> str:
         return self.client.opt_c
@@ -240,10 +244,6 @@ def prepare_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Partition]:
     """Build the data, hold out the test split, partition the rest: (train, test, partition)."""
     full = build_dataset(cfg.data, cfg.seed)
     train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
-    if cfg.num_clients > len(train):
-        raise ValueError(
-            f"num_clients={cfg.num_clients} exceeds the {len(train)} training samples"
-        )
     return train, test, dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
 
 
@@ -276,9 +276,6 @@ class FederatedRun:
         self.best_acc = -math.inf
         self.best_params = w0
         self.last_delta: ParamVector | None = None
-
-    def _is_eval_round(self, round_idx: int) -> bool:
-        return round_idx % self.cfg.eval_every == 0 or round_idx == self.cfg.rounds
 
     def _record_eval(self) -> tuple[float, float, float]:
         test_loss, test_acc = evaluate(self.spec, self.state.w, self.test_batch)
@@ -336,7 +333,7 @@ class FederatedRun:
 
         train_loss = float(np.mean([u.train_loss for u in updates]))
         test_loss = test_acc = best = None
-        if self._is_eval_round(round_idx):
+        if self.cfg.is_eval_round(round_idx):
             test_loss, test_acc, best = self._record_eval()
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rm = RoundMetrics(
@@ -391,7 +388,7 @@ class FederatedRun:
                 break
             if on_round is not None:
                 on_round(self, rm)
-            if out is not None and self._is_eval_round(round_idx):
+            if out is not None and self.cfg.is_eval_round(round_idx):
                 self._flush(out, include_timing)
 
         result = ExperimentResult(

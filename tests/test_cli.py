@@ -222,6 +222,17 @@ def test_partition_stats(tmp_path, capsys):
     assert "median classes covering 90%" in printed
 
 
+def test_partition_stats_seed_override(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["partition-stats", cfg]) == 0
+    default = capsys.readouterr().out.splitlines()
+    assert main(["partition-stats", cfg, "--seed", "7"]) == 0
+    seeded = capsys.readouterr().out.splitlines()
+    assert default[0].endswith("seed=0)")
+    assert seeded[0].endswith("seed=7)")
+    assert seeded[1:] != default[1:]  # the split follows the override seed
+
+
 def test_check_verb(capsys):
     assert main(["check"]) == 0
     printed = capsys.readouterr().out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import math
 import re
 
@@ -149,11 +150,11 @@ def test_semantic_errors_become_config_errors(tmp_path):
         parse_config(write(tmp_path, "data:\n  alpha: -1.0\n"))
 
 
-# Every key read through _cast_float; the top-level mapping is inline in
-# the parser, and sample_ratio is its only float key.
-FLOAT_KEYS = ["sample_ratio"] + [
-    f"{section}.{key}"
+# Every key read through _cast_float (test_float_keys_are_pinned fixes the list).
+FLOAT_KEYS = [
+    f"{section}.{key}" if section else key
     for section, keys in (
+        ("", config._TOP_KEYS),
         ("client", config._CLIENT_KEYS),
         ("server", config._SERVER_KEYS),
         ("data", config._DATA_KEYS),
@@ -163,16 +164,115 @@ FLOAT_KEYS = ["sample_ratio"] + [
 ]
 
 
+def key_text(key: str, token: str) -> tuple[str, int]:
+    """A config setting one (possibly section.) key, and that key's line."""
+    if "." in key:
+        section, name = key.split(".")
+        return f"rounds: 3\n{section}:\n  {name}: {token}\n", 3
+    return f"rounds: 3\n{key}: {token}\n", 2
+
+
 @pytest.mark.parametrize("token", [".nan", ".inf", "-.inf"])
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_float_rejected_at_parse(tmp_path, key, token):
-    if "." in key:
-        section, name = key.split(".")
-        text, line = f"rounds: 3\n{section}:\n  {name}: {token}\n", 3
-    else:
-        text, line = f"rounds: 3\n{key}: {token}\n", 2
+    text, line = key_text(key, token)
     with pytest.raises(ConfigError, match=re.escape(f"{key} (line {line}): must be finite")):
         parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize("token", ["1e-3", "5E-4", "+2.5e+1", "-.5e-3"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_exponent_float_parses(tmp_path, key, token):
+    try:
+        cfg = parse_config(write(tmp_path, key_text(key, token)[0]))
+    except ConfigError as exc:
+        # Out of the key's range (momentum: 25.0): the range check saw the number.
+        assert str(exc).endswith(f"got {float(token)}"), exc
+        return
+    *section, name = key.split(".")
+    owner = getattr(cfg, section[0]) if section else cfg
+    value = getattr(owner, name)
+    assert type(value) is float and value == float(token)
+
+
+def test_exponent_is_not_an_integer(tmp_path):
+    with pytest.raises(ConfigError, match=r"rounds \(line 1\): expected an integer, got 1000.0"):
+        parse_config(write(tmp_path, "rounds: 1e3\n"))
+
+
+@pytest.mark.parametrize(
+    "token, value", [("0x1F", 31), ("017", 15), ("1:30", 90), ("1_000", 1000)]
+)
+def test_yaml_1_1_integers(tmp_path, token, value):
+    assert parse_config(write(tmp_path, f"seed: {token}\n")).seed == value
+
+
+@pytest.mark.parametrize(
+    "token, msg",
+    [
+        ("!!int abc", "cannot parse scalar 'abc'"),
+        ("!!bool abc", "cannot parse scalar 'abc'"),
+        ("!!timestamp abc", "cannot parse scalar 'abc'"),
+        ("!!python/name:os.system", "unsupported YAML node type"),
+        ("!!timestamp 2020-13-45", "cannot parse scalar '2020-13-45'"),
+        ("!!map abc", "unsupported YAML node type"),
+    ],
+)
+def test_malformed_tagged_scalar_rejected(tmp_path, token, msg):
+    with pytest.raises(ConfigError, match=re.escape(f"seed (line 1): {msg}")):
+        parse_config(write(tmp_path, f"seed: {token}\n"))
+
+
+@pytest.mark.parametrize(
+    "text", ["server:\n  server_lr: null\n", "model:\n  kind: mlp1\n  hidden_dim: null\n"]
+)
+def test_null_is_rejected_for_optional_fields(tmp_path, text):
+    with pytest.raises(ConfigError, match="got None"):
+        parse_config(write(tmp_path, text))
+
+
+# The accepted keys of every section, written out so that a schema read
+# off the dataclasses cannot lose a key unnoticed.
+SCHEMA = {
+    "": [
+        "opt_c", "opt_s", "num_clients", "sample_ratio", "rounds", "eval_every", "seed",
+        "client", "server", "model", "data",
+    ],
+    "client": [
+        "local_epochs", "batch_size", "lr", "momentum", "weight_decay", "prox_mu",
+        "control_option",
+    ],
+    "server": ["server_lr", "beta1", "beta2", "eps", "damped"],
+    "model": ["kind", "hidden_dim", "activation"],
+    "data": [
+        "source", "alpha", "test_fraction", "num_classes", "dim", "samples_per_class",
+        "spread", "path", "label_col", "has_header",
+    ],
+    "grid": ["opt_c", "opt_s", "seeds", "checkpoints"],
+}
+
+
+@pytest.mark.parametrize("section", list(SCHEMA), ids=lambda s: s or "top")
+def test_schema_is_pinned(tmp_path, section):
+    text = f"{section}:\n  bogus: 1\n" if section else "bogus: 1\n"
+    with pytest.raises(ConfigError, match="unknown key") as e:
+        parse_config(write(tmp_path, text))
+    listed = ast.literal_eval(str(e.value).split("expected one of ", 1)[1])
+    assert listed == sorted(SCHEMA[section])
+
+
+def test_float_keys_are_pinned():
+    assert FLOAT_KEYS == [
+        "sample_ratio", "client.lr", "client.momentum", "client.weight_decay",
+        "client.prox_mu", "server.server_lr", "server.beta1", "server.beta2", "server.eps",
+        "data.alpha", "data.test_fraction", "data.spread",
+    ]
+
+
+@pytest.mark.parametrize("key", ["client.opt_c", "server.opt_s"])
+def test_optimizer_keys_are_top_level_only(tmp_path, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key} (line 3): unknown key")):
+        parse_config(write(tmp_path, key_text(key, "sgd")[0]))
 
 
 def test_duplicate_key_rejected(tmp_path):
