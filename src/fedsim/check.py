@@ -87,11 +87,10 @@ def check_aggregation() -> str:
     def upd(cid, vec, n, norm=None):
         return ClientUpdate(cid, ParamVector(vec), n, 1, 0.0, coeff_norm=norm)
 
-    got = aggregate([upd(0, [4.0], 1), upd(1, [0.0], 1), upd(2, [2.0], 2)], "weighted_avg")
+    got = aggregate([upd(0, [4.0], 1), upd(1, [0.0], 1), upd(2, [2.0], 2)])
     _require(abs(got.values[0] - 2.0) <= 1e-15, f"weighted_avg gave {got.values[0]!r}")
-    uniform = [upd(i, [3.0, -1.0], 5, norm=4.25) for i in range(4)]
-    nova = aggregate(uniform, "nova")
-    avg = aggregate(uniform, "weighted_avg")
+    nova = aggregate([upd(i, [3.0, -1.0], 5, norm=4.25) for i in range(4)])
+    avg = aggregate([upd(i, [3.0, -1.0], 5) for i in range(4)])
     _require(
         float(np.max(np.abs(nova.values - avg.values))) <= 1e-12,
         "normalized aggregation must equal plain averaging when clients are homogeneous",

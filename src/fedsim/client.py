@@ -201,15 +201,9 @@ def local_train(
         correction = None
     prox_mu = cfg.prox_mu if cfg.opt_c == "prox" else 0.0
 
-    # Scratch buffers owned by this call, so client threads share none.
-    # They are updated in place with the same operations, in the same
-    # order, as the formula above, so the bits match it.  Each step's w is
-    # a fresh array: no ParamVector handed out is ever written to.
     w0 = global_w.values
-    tmp = np.empty_like(w0)
-    g_buf = np.empty_like(w0)
-    u = np.zeros_like(w0)
     w = global_w
+    u = np.zeros_like(w0)
     step = 0
     last_epoch_losses: list[float] = []
     indices = np.arange(shard.num_samples)
@@ -226,23 +220,15 @@ def local_train(
                     raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
                 g = grad.values
                 if correction is not None:
-                    g = np.add(g, correction, out=g_buf)
+                    g = g + correction
                 elif prox_mu != 0.0:
-                    np.subtract(w.values, w0, out=tmp)
-                    tmp *= prox_mu
-                    g = np.add(g, tmp, out=g_buf)
+                    g = g + prox_mu * (w.values - w0)
                 if cfg.weight_decay != 0.0:
-                    np.multiply(w.values, cfg.weight_decay, out=tmp)
-                    g = np.add(g, tmp, out=g_buf)
-                if cfg.momentum != 0.0:
-                    u *= cfg.momentum
-                    u += g
-                else:
-                    u = g
-                np.multiply(u, cfg.lr, out=tmp)
+                    g = g + cfg.weight_decay * w.values
+                u = cfg.momentum * u + g if cfg.momentum != 0.0 else g
                 step += 1
                 try:
-                    w = ParamVector._own(w.values - tmp)
+                    w = ParamVector._own(w.values - cfg.lr * u)
                 except NonFiniteError:
                     raise DivergenceError(
                         round_idx, shard.client_id, step, "parameters became NaN or Inf"

@@ -278,8 +278,7 @@ class GridSpec:
         ]
 
 
-def _build_experiment(tree: dict, lines: dict[str, int]) -> ExperimentConfig:
-    top = _take(tree, lines, "", _TOP_KEYS)
+def _build_experiment(top: dict, lines: dict[str, int]) -> ExperimentConfig:
     sections = {
         name: _take(top.pop(name, {}), lines, name, _SECTION_KEYS[name]) for name in _SECTIONS
     }
@@ -300,10 +299,11 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
     Returns a GridSpec when the file has a ``grid`` section, otherwise a
     single ExperimentConfig.
     """
-    text = Path(path).read_text()
-    tree, lines = _load_yaml_tree(text)
-    grid_raw = tree.pop("grid", None)
-    base = _build_experiment(tree, lines)
+    tree, lines = _load_yaml_tree(Path(path).read_text())
+    # ``grid`` is accepted here, so the unknown-key message lists it, and checked below.
+    top = _take(tree, lines, "", {**_TOP_KEYS, "grid": lambda value, *_: value})
+    grid_raw = top.pop("grid", None)
+    base = _build_experiment(top, lines)
     if grid_raw is None:
         return base
     if not isinstance(grid_raw, dict):

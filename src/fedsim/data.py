@@ -238,21 +238,24 @@ def load_csv_dataset(
                     f"{path}: row {line_no}, column {c + 1}: {cell.strip()!r} is not numeric"
                 ) from None
         lab = vals.pop(label_idx)
-        if lab != int(lab):
+        if not lab.is_integer():  # NaN and +-inf included
             raise ValueError(f"{path}: row {line_no}: label {lab!r} is not an integer")
         if lab < 0:
             raise ValueError(f"{path}: row {line_no}: label {int(lab)} is negative")
         labels.append(int(lab))
         feats.append(vals)
 
-    labs = np.array(labels, dtype=np.int64)
-    num_classes = int(labs.max()) + 1
-    present = np.unique(labs)
+    # On Python ints: a label >= the row count fails here, before any int64 array.
+    num_classes = max(labels) + 1
+    present = set(labels)
     if num_classes < 2:
         raise ValueError(f"{path}: needs at least 2 classes, found {num_classes}")
-    if present.shape[0] != num_classes:
-        missing = sorted(set(range(num_classes)) - set(int(x) for x in present))
+    if len(present) != num_classes:
+        # The first 10 missing classes all lie below len(present) + 10.
+        missing = sorted(set(range(min(num_classes, len(present) + 10))) - present)[:10]
         raise ValueError(
-            f"{path}: labels must cover 0..{num_classes - 1}; missing classes {missing}"
+            f"{path}: labels must cover 0..{num_classes - 1}; missing classes {missing} "
+            f"({num_classes - len(present)} missing in all)"
         )
+    labs = np.array(labels, dtype=np.int64)
     return Dataset(np.array(feats, dtype=np.float64), labs, num_classes)

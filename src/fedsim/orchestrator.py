@@ -31,7 +31,7 @@ from .data import (
     gen_synthetic,
     split_train_test,
 )
-from .model import MODEL_KINDS, Batch, ModelSpec, evaluate, init_params
+from .model import Batch, ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
 from .rng import seeded_rng, spawn_seed
 from .server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
@@ -116,6 +116,8 @@ class DataConfig:
         else:
             if not self.path:
                 raise ValueError("csv data source needs a path")
+            if isinstance(self.label_col, str) and not self.has_header:
+                raise ValueError("label_col by name requires has_header=True")
 
 
 @dataclass(frozen=True)
@@ -127,20 +129,17 @@ class ModelConfig:
     activation: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"model kind must be one of {MODEL_KINDS}, got {self.kind!r}")
-        if self.kind == "logistic" and (self.hidden_dim is not None or self.activation is not None):
-            raise ValueError("logistic model takes no hidden_dim/activation")
+        self.spec(input_dim=1, num_classes=2)  # ModelSpec holds the architecture rules
 
-    def resolve(self, ds: Dataset) -> ModelSpec:
-        if self.kind == "logistic":
-            return ModelSpec("logistic", ds.dim, ds.num_classes)
+    def spec(self, input_dim: int, num_classes: int) -> ModelSpec:
+        """The architecture for data of this shape; an mlp1 defaults to 32 relu units."""
+        mlp = self.kind == "mlp1"
         return ModelSpec(
-            "mlp1",
-            ds.dim,
-            ds.num_classes,
-            hidden_dim=self.hidden_dim if self.hidden_dim is not None else 32,
-            activation=self.activation if self.activation is not None else "relu",
+            self.kind,
+            input_dim,
+            num_classes,
+            hidden_dim=32 if mlp and self.hidden_dim is None else self.hidden_dim,
+            activation="relu" if mlp and self.activation is None else self.activation,
         )
 
 
@@ -256,7 +255,7 @@ class FederatedRun:
         self.cfg = cfg
         self.threads = threads
         train, test, self.partition = prepare_data(cfg)
-        self.spec = cfg.model.resolve(train)
+        self.spec = cfg.model.spec(train.dim, train.num_classes)
         self.shards = [
             ClientShard(cid, train.features[idx], train.labels[idx])
             for cid, idx in enumerate(self.partition.assignment)
@@ -318,8 +317,7 @@ class FederatedRun:
         updates = [upd for upd, _ in results]
 
         try:
-            mode = "nova" if cfg.opt_c == "nova" else "weighted_avg"
-            delta = aggregate(updates, mode)
+            delta = aggregate(updates)
             if cfg.opt_c == "scaf":
                 control_delta = aggregate_control(updates)
                 new_c = ParamVector(self.state.c.values + control_delta.values)
@@ -401,7 +399,9 @@ class FederatedRun:
             error=error,
         )
         if out is not None:
-            self._flush(out, include_timing)
+            # The loop already flushed at the last round, which is an eval round.
+            if status != "ok" or self.cfg.rounds == 0:
+                self._flush(out, include_timing)
             save_params(out / "model_final.bin", self.state.w, self.spec)
             save_params(out / "model_best.bin", self.best_params, self.spec)
         return result

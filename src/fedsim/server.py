@@ -1,11 +1,11 @@
 """Server-side aggregation and parameter updates.
 
-Aggregation turns the selected clients' deltas into one pseudo-gradient.
-``weighted_avg`` weights each delta by the client's share of the samples
-held by the round's participants.  ``nova`` first divides each delta by
-that client's accumulation-coefficient norm (undoing how many effective
-steps it took), then rescales by the weighted mean norm, so clients with
-more local steps no longer dominate the direction.
+Aggregation turns the selected clients' deltas into one pseudo-gradient:
+each delta weighted by the client's share of the round's samples.  When
+every update carries a coefficient norm (FedNova), each delta is first
+divided by it (undoing how many effective steps that client took) and
+the sum rescaled by the weighted mean norm, so clients with more local
+steps no longer dominate the direction.  Mixed rounds are rejected.
 
 The pseudo-gradient then drives one of four server optimizers.  With
 first-moment m and second-moment v (both zero-initialized):
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .params import ParamVector
 from .client import ClientUpdate
 
 SERVER_OPTIMIZERS = ("sgd", "adam", "adagrad", "yogi")
-AGGREGATION_MODES = ("weighted_avg", "nova")
 
 
 @dataclass(frozen=True)
@@ -92,28 +92,29 @@ def _participant_weights(updates: list[ClientUpdate]) -> np.ndarray:
     return sizes / sizes.sum()
 
 
-def aggregate(updates: list[ClientUpdate], mode: str = "weighted_avg") -> ParamVector:
+def _weighted_sum(weights: np.ndarray, vectors: Iterable[np.ndarray], length: int) -> np.ndarray:
+    """sum_i weights[i] * vectors[i], added in order into zeros, one vector at a time."""
+    acc = np.zeros(length)
+    for wgt, vec in zip(weights, vectors):
+        acc += wgt * vec
+    return acc
+
+
+def aggregate(updates: list[ClientUpdate]) -> ParamVector:
     """Combine client deltas into one pseudo-gradient (order as given)."""
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATION_MODES}")
     weights = _participant_weights(updates)
-    acc = np.zeros(len(updates[0].delta))
-    if mode == "weighted_avg":
-        for wgt, u in zip(weights, updates):
-            acc += wgt * u.delta.values
-    else:
-        norms = []
-        for u in updates:
-            if u.coeff_norm is None or not (u.coeff_norm > 0):
-                raise ValueError(
-                    f"nova aggregation needs a positive coeff_norm on every update "
-                    f"(client {u.client_id})"
-                )
-            norms.append(u.coeff_norm)
-        effective = float(np.dot(weights, norms))
-        for wgt, norm, u in zip(weights, norms, updates):
-            acc += wgt * (u.delta.values / norm)
-        acc *= effective
+    length = len(updates[0].delta)
+    norms = [u.coeff_norm for u in updates]
+    if all(norm is None for norm in norms):
+        return ParamVector(_weighted_sum(weights, (u.delta.values for u in updates), length))
+    for u in updates:
+        if u.coeff_norm is None or not (u.coeff_norm > 0):
+            raise ValueError(
+                f"normalized aggregation needs a positive coeff_norm on every update "
+                f"(client {u.client_id} has {u.coeff_norm!r})"
+            )
+    acc = _weighted_sum(weights, (u.delta.values / u.coeff_norm for u in updates), length)
+    acc *= float(np.dot(weights, norms))
     return ParamVector(acc)
 
 
@@ -123,10 +124,8 @@ def aggregate_control(updates: list[ClientUpdate]) -> ParamVector:
     for u in updates:
         if u.delta_control is None:
             raise ValueError(f"update from client {u.client_id} carries no control difference")
-    acc = np.zeros(len(updates[0].delta_control))
-    for wgt, u in zip(weights, updates):
-        acc += wgt * u.delta_control.values
-    return ParamVector(acc)
+    deltas = (u.delta_control.values for u in updates)
+    return ParamVector(_weighted_sum(weights, deltas, len(updates[0].delta_control)))
 
 
 def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> ServerState:

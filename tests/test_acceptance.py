@@ -204,8 +204,8 @@ def test_criterion_3_degenerate_equivalences():
             for sh in shards
         ]
         assert len({u.step_count for u in nova_upd}) == 1  # the homogeneity premise
-        s_nova = server_step(s_nova, aggregate(nova_upd, "nova"), ServerConfig())
-        s_avg = server_step(s_avg, aggregate(avg_upd, "weighted_avg"), ServerConfig())
+        s_nova = server_step(s_nova, aggregate(nova_upd), ServerConfig())
+        s_avg = server_step(s_avg, aggregate(avg_upd), ServerConfig())
         diff = float(np.max(np.abs(s_nova.w.values - s_avg.w.values)))
         assert diff < 1e-12, f"(b) round {t}: max element diff {diff:.3e} >= 1e-12"
     assert time.perf_counter() - t0 < 10.0
@@ -249,8 +249,8 @@ def test_criterion_3_degenerate_equivalences():
         s_scaf = replace(
             s_scaf, c=ParamVector(s_scaf.c.values + aggregate_control(scaf_upd).values)
         )
-        s_scaf = server_step(s_scaf, aggregate(scaf_upd, "weighted_avg"), ServerConfig())
-        s_plain = server_step(s_plain, aggregate(plain_upd, "weighted_avg"), ServerConfig())
+        s_scaf = server_step(s_scaf, aggregate(scaf_upd), ServerConfig())
+        s_plain = server_step(s_plain, aggregate(plain_upd), ServerConfig())
         diff = float(np.max(np.abs(s_scaf.w.values - s_plain.w.values)))
         assert diff < 1e-10, f"(c) round {t}: max element diff {diff:.3e} >= 1e-10"
     assert time.perf_counter() - t0 < 10.0

@@ -82,9 +82,15 @@ def test_run_rejects_grid_config(tmp_path, capsys):
 
 
 def test_config_error_exit_code(tmp_path, capsys):
-    cfg = write_config(tmp_path, "opt_c: bogus\n")
-    assert main(["run", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
+    for text in (
+        "opt_c: bogus\n",
+        "model:\n  kind: mlp1\n  hidden_dim: 0\n",
+        "data:\n  source: csv\n  path: d.csv\n  label_col: y\n",
+    ):
+        assert main(["run", write_config(tmp_path, text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the run header
+        assert "config error" in captured.err
 
 
 def test_non_finite_config_value_exit_code(tmp_path, capsys):

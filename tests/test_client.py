@@ -140,14 +140,14 @@ def test_step_count_is_epochs_times_batches():
 
 
 def _replay_cases():
-    """Every in-place branch of the step loop, on each architecture."""
+    """Every branch of the step loop, on each architecture."""
     for name, spec in (("logistic", SPEC), ("relu", MLP_RELU), ("tanh", MLP_TANH)):
-        for opt_c in ("sgd", "prox", "nova"):
+        for opt_c in ("sgd", "prox", "nova", "scaf"):
             for momentum in (0.0, 0.9):
                 for weight_decay in (0.0, 1e-4):
                     # The logistic cases with momentum and weight decay
                     # keep their original ids.
-                    plain = spec is SPEC and momentum and weight_decay
+                    plain = spec is SPEC and momentum and weight_decay and opt_c != "scaf"
                     case = opt_c if plain else f"{name}-{opt_c}-m{momentum}-wd{weight_decay}"
                     yield pytest.param(spec, opt_c, momentum, weight_decay, 0.05, id=case)
         yield pytest.param(spec, "prox", 0.9, 1e-4, 0.0, id=f"{name}-prox-mu0")
@@ -161,8 +161,16 @@ def test_local_train_matches_replay(spec, opt_c, momentum, weight_decay, prox_mu
         opt_c=opt_c, local_epochs=2, batch_size=5, lr=0.05,
         momentum=momentum, weight_decay=weight_decay, prox_mu=prox_mu,
     )
-    update, _ = local_train(spec, w0, shard, cfg, round_idx=4, seed=11)
-    w_ref, steps_ref, loss_ref = replay(shard, w0, cfg, seed=11, spec=spec)
+    c_global = c_local = None
+    controls = {}
+    if opt_c == "scaf":
+        rng = np.random.default_rng(8)
+        c_global, c_local = (0.1 * rng.normal(size=len(w0)) for _ in range(2))
+        controls = dict(global_c=ParamVector(c_global), local_c=ParamVector(c_local))
+    update, _ = local_train(spec, w0, shard, cfg, round_idx=4, seed=11, **controls)
+    w_ref, steps_ref, loss_ref = replay(
+        shard, w0, cfg, seed=11, c_global=c_global, c_local=c_local, spec=spec
+    )
     npt.assert_array_equal(update.delta.values, w_ref - w0.values)
     assert update.step_count == steps_ref
     assert update.train_loss == loss_ref

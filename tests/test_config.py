@@ -148,6 +148,10 @@ def test_semantic_errors_become_config_errors(tmp_path):
         parse_config(write(tmp_path, "client:\n  momentum: 1.5\n"))
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(write(tmp_path, "data:\n  alpha: -1.0\n"))
+    with pytest.raises(ConfigError, match="hidden_dim >= 1"):
+        parse_config(write(tmp_path, "model:\n  kind: mlp1\n  hidden_dim: 0\n"))
+    with pytest.raises(ConfigError, match="has_header"):
+        parse_config(write(tmp_path, "data:\n  source: csv\n  path: d.csv\n  label_col: y\n"))
 
 
 # Every key read through _cast_float (test_float_keys_are_pinned fixes the list).
@@ -236,7 +240,7 @@ def test_null_is_rejected_for_optional_fields(tmp_path, text):
 SCHEMA = {
     "": [
         "opt_c", "opt_s", "num_clients", "sample_ratio", "rounds", "eval_every", "seed",
-        "client", "server", "model", "data",
+        "client", "server", "model", "data", "grid",
     ],
     "client": [
         "local_epochs", "batch_size", "lr", "momentum", "weight_decay", "prox_mu",

@@ -283,8 +283,13 @@ def test_load_csv_header_line_counts_in_row_numbers(tmp_path):
 
 
 def test_load_csv_fractional_label(tmp_path):
-    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,1.5\n")
-    with pytest.raises(ValueError, match=r"row 2.*not an integer"):
+    for label in ("1.5", "inf", "-inf", "nan"):
+        p = write_csv(tmp_path / "d.csv", f"1.0,0\n2.0,{label}\n")
+        with pytest.raises(ValueError, match=r"row 2.*not an integer"):
+            load_csv_dataset(p)
+    # Integral, but far past any class count of a two-row file.
+    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,1e30\n")
+    with pytest.raises(ValueError, match=r"missing classes \[1, 2, 3, 4, 5, 6, 7, 8, 9, 10\]"):
         load_csv_dataset(p)
 
 
@@ -298,6 +303,11 @@ def test_load_csv_missing_class(tmp_path):
     p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,2\n")
     with pytest.raises(ValueError, match=r"missing classes \[1\]"):
         load_csv_dataset(p)
+    # A huge label lists the first 10 missing classes and their count only.
+    p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,1\n3.0,1000000\n")
+    with pytest.raises(ValueError, match=r"missing classes \[2, .*, 11\] \(999998 missing") as e:
+        load_csv_dataset(p)
+    assert len(str(e.value)) < 300
 
 
 def test_load_csv_empty_and_missing(tmp_path):

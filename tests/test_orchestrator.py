@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from fedsim import client as client_mod
+from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import ClientConfig
 from fedsim.data import gen_synthetic, split_train_test
 from fedsim.model import Batch, loss_and_grad
@@ -374,7 +375,9 @@ def test_experiment_config_validation():
 def test_traced_benchmark_hooks_hold(monkeypatch):
     """The hooks the traced benchmark wraps: one loss_and_grad per step,
     reached through ``fedsim.client.loss_and_grad``; one ``_train_one``
-    per selected client; ``threads`` passed positionally."""
+    per selected client; one ``aggregate`` and one ``server_step`` per
+    round, plus one ``aggregate_control`` per scaf round, all reached
+    through ``fedsim.orchestrator``; ``threads`` passed positionally."""
     grads = []
     real_loss_and_grad = client_mod.loss_and_grad
 
@@ -400,3 +403,44 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
     for params_type, batch_type, n, rows in grads:
         assert params_type is ParamVector and batch_type is Batch
         assert n == rows
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("aggregate", "aggregate_control", "server_step"):
+        monkeypatch.setattr(orchestrator_mod, name, counting(name, getattr(orchestrator_mod, name)))
+    for opt_c in ("sgd", "scaf"):
+        calls.clear()
+        cfg = tiny_config(client=ClientConfig(opt_c=opt_c, batch_size=8), rounds=3)
+        assert FederatedRun(cfg, 1).run().status == "ok"
+        per_round = ["aggregate", "aggregate_control"] if opt_c == "scaf" else ["aggregate"]
+        assert calls == (per_round + ["server_step"]) * 3
+
+
+def test_metrics_csv_is_written_once_per_eval_round(tmp_path, monkeypatch):
+    writes = []
+    real_write = orchestrator_mod.write_metrics_csv
+
+    def counting_write(path, metrics, *args, **kwargs):
+        writes.append([rm.round_idx for rm in metrics])
+        real_write(path, metrics, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "write_metrics_csv", counting_write)
+    run_experiment(tiny_config(rounds=10, eval_every=5), out_dir=tmp_path / "ok")
+    assert writes == [list(range(1, 6)), list(range(1, 11))]
+
+    writes.clear()
+    run_experiment(tiny_config(rounds=0), out_dir=tmp_path / "zero")
+    assert writes == [[]]
+    assert read_csv(tmp_path / "zero" / "metrics.csv") == [list(METRICS_COLUMNS)]
+
+    writes.clear()
+    diverging = ClientConfig(opt_c="sgd", lr=1e300, batch_size=8)
+    run_experiment(tiny_config(client=diverging, rounds=6), out_dir=tmp_path / "diverged")
+    assert writes == [[1]]
