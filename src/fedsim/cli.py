@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-    fedsim run CONFIG [--out DIR] [--seed N] [--threads N] [--damped]
-    fedsim grid CONFIG [--out DIR] [--seed N] [--threads N] [--damped]
+    fedsim run CONFIG [--out DIR] [--seed N] [--threads N]
+    fedsim grid CONFIG [--out DIR] [--seed N] [--threads N]
     fedsim partition-stats CONFIG [--seed N]
     fedsim check
 
@@ -24,7 +24,6 @@ import numpy as np
 
 from .config import ConfigError, GridSpec, parse_config, save_config
 from .orchestrator import (
-    ExperimentConfig,
     ExperimentResult,
     FederatedRun,
     RoundMetrics,
@@ -117,8 +116,8 @@ def emit_report(grid_result: GridResult, path: str | Path) -> None:
     )
     pairs = [
         (opt_c, opt_s)
-        for opt_c in spec.opt_c_values
-        for opt_s in spec.opt_s_values
+        for opt_c in spec.opt_c
+        for opt_s in spec.opt_s
         if any(c.opt_c == opt_c and c.opt_s == opt_s for c in grid_result.cells)
     ]
     table: dict[tuple[str, str], list[float]] = {}
@@ -178,20 +177,12 @@ def _print_round(run: FederatedRun, rm: RoundMetrics) -> None:
         )
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.damped:
-        cfg = replace(cfg, server=replace(cfg.server, damped=True))
-    return cfg
-
-
 def _cmd_run(args) -> int:
     parsed = parse_config(args.config)
     if isinstance(parsed, GridSpec):
         print("error: config defines a grid; use `fedsim grid`", file=sys.stderr)
         return 2
-    cfg = _apply_overrides(parsed, args)
+    cfg = parsed if args.seed is None else replace(parsed, seed=args.seed)
     print(f"{cfg.algorithm} (opt_c={cfg.opt_c}, opt_s={cfg.opt_s}, seed={cfg.seed})")
     result = run_experiment(
         cfg, out_dir=args.out, threads=args.threads, on_round=_print_round
@@ -205,14 +196,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_grid(args) -> int:
     parsed = parse_config(args.config)
-    if isinstance(parsed, GridSpec):
-        spec = parsed
-    else:
-        spec = GridSpec(base=parsed, seeds=(parsed.seed,))
-    if args.seed is not None:
+    spec = parsed if isinstance(parsed, GridSpec) else GridSpec(parsed, seeds=(parsed.seed,))
+    if args.seed is not None:  # --seed sets the sweep's seeds; the base keeps its own
         spec = replace(spec, seeds=(args.seed,))
-    # --seed sets the sweep's seeds; the base keeps its own.
-    spec = replace(spec, base=replace(_apply_overrides(spec.base, args), seed=spec.base.seed))
 
     def progress(cell: GridCell) -> None:
         state = "diverged" if cell.result.diverged else f"best_acc {cell.result.best_acc:.4f}"
@@ -272,11 +258,6 @@ def main(argv: list[str] | None = None) -> int:
         if out_help is not None:
             p.add_argument("--out", default=None, help=out_help)
             p.add_argument("--threads", type=int, default=1, help="client-training threads")
-            p.add_argument(
-                "--damped",
-                action="store_true",
-                help="use the damped adaptive-server variant (comparison runs)",
-            )
 
     p_run = sub.add_parser("run", help="run a single experiment")
     add_common(p_run, "directory for metrics and model files")

@@ -92,7 +92,15 @@ def _load_yaml_tree(text: str) -> tuple[dict, dict[str, int]]:
 def _err(path: str, lines: dict[str, int], msg: str) -> ConfigError:
     line = lines.get(path)
     where = f"{path} (line {line})" if line else path
-    return ConfigError(f"{where}: {msg}")
+    return ConfigError(f"{where}: {msg}" if where else msg)
+
+
+def _construct(cls, kwargs: dict, path: str, lines: dict[str, int]):
+    """``cls(**kwargs)``, with a rule it breaks reported at ``path`` and its line."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise _err(path, lines, str(exc)) from exc
 
 
 def _take(section: dict, lines: dict[str, int], path: str, allowed: dict) -> dict:
@@ -231,22 +239,24 @@ _GRID_KEYS = {
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A sweep over optimizer pairs and seeds sharing one base config."""
+    """A sweep over optimizer pairs and seeds sharing one base config (the ``grid`` keys)."""
 
     base: ExperimentConfig
-    opt_c_values: tuple[str, ...] = CLIENT_OPTIMIZERS
-    opt_s_values: tuple[str, ...] = SERVER_OPTIMIZERS
+    opt_c: tuple[str, ...] = CLIENT_OPTIMIZERS
+    opt_s: tuple[str, ...] = SERVER_OPTIMIZERS
     seeds: tuple[int, ...] = (0,)
     checkpoints: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.opt_c_values or not self.opt_s_values or not self.seeds:
+        for key in _GRID_KEYS:
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} contains duplicates: {list(values)}")
+        cells = self.cells()
+        if not cells:
             raise ValueError("grid must sweep at least one opt_c, opt_s, and seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"grid seeds contain duplicates: {self.seeds}")
-        for s in self.seeds:
-            if s < 0:
-                raise ValueError(f"grid seeds must be >= 0, got {s}")
+        for cell in cells:
+            self.cell_config(*cell)  # each cell passes a single run's rules
         for t in self.checkpoints:
             if not (0 < t <= self.base.rounds) or not self.base.is_eval_round(t):
                 raise ValueError(
@@ -272,8 +282,8 @@ class GridSpec:
     def cells(self) -> list[tuple[str, str, int]]:
         return [
             (oc, os_, seed)
-            for oc in self.opt_c_values
-            for os_ in self.opt_s_values
+            for oc in self.opt_c
+            for os_ in self.opt_s
             for seed in self.seeds
         ]
 
@@ -285,12 +295,9 @@ def _build_experiment(top: dict, lines: dict[str, int]) -> ExperimentConfig:
     for key, name in _HOISTED.items():
         if key in top:
             sections[name][key] = top.pop(key)
-    try:
-        return ExperimentConfig(
-            **{name: cls(**sections[name]) for name, cls in _SECTIONS.items()}, **top
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    for name, cls in _SECTIONS.items():
+        sections[name] = _construct(cls, sections[name], name, lines)
+    return _construct(ExperimentConfig, {**sections, **top}, "", lines)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
@@ -309,12 +316,7 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
     if not isinstance(grid_raw, dict):
         raise _err("grid", lines, "expected a mapping of sweep settings")
     grid_kw = _take(dict(grid_raw), lines, "grid", _GRID_KEYS)
-    renamed = {"opt_c": "opt_c_values", "opt_s": "opt_s_values"}
-    kwargs = {renamed.get(key, key): value for key, value in grid_kw.items()}
-    try:
-        return GridSpec(base=base, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    return _construct(GridSpec, {"base": base, **grid_kw}, "grid", lines)
 
 
 # ------------------------------------------------------------------
@@ -336,13 +338,7 @@ def serialize_config(cfg: ExperimentConfig | GridSpec) -> str:
     """YAML text that parse_config maps back to an equal object."""
     if isinstance(cfg, GridSpec):
         out = _experiment_dict(cfg.base)
-        out["grid"] = {
-            "opt_c": list(cfg.opt_c_values),
-            "opt_s": list(cfg.opt_s_values),
-            "seeds": list(cfg.seeds),
-        }
-        if cfg.checkpoints:
-            out["grid"]["checkpoints"] = list(cfg.checkpoints)
+        out["grid"] = {key: list(getattr(cfg, key)) for key in _GRID_KEYS if getattr(cfg, key)}
     else:
         out = _experiment_dict(cfg)
     return yaml.safe_dump(out, sort_keys=False, default_flow_style=False)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,9 +168,16 @@ def test_grid_report_argmax_matches_cells_and_per_seed_file(tmp_path):
 
 def test_grid_survives_diverging_cells_and_exits_nonzero(tmp_path, capsys):
     # the damped adam rule goes non-finite immediately, the sgd cells don't
-    cfg = write_config(tmp_path, TINY + "grid:\n  opt_c: [sgd]\n  opt_s: [sgd, adam]\n")
+    cfg = write_config(
+        tmp_path,
+        TINY + "server:\n  damped: true\ngrid:\n  opt_c: [sgd]\n  opt_s: [sgd, adam]\n",
+    )
     out = tmp_path / "out"
-    assert main(["grid", cfg, "--out", str(out), "--damped"]) == 1
+    with pytest.raises(SystemExit) as usage:
+        main(["grid", cfg, "--out", str(out), "--damped"])  # set by server.damped only
+    assert usage.value.code == 2
+    capsys.readouterr()
+    assert main(["grid", cfg, "--out", str(out)]) == 1
     rows = read_csv(out / "report.csv")
     by_name = {r[0]: r for r in rows[1:]}
     assert by_name["FedAvg"][-1] == "ok"
@@ -237,6 +245,32 @@ def test_partition_stats_seed_override(tmp_path, capsys):
     assert default[0].endswith("seed=0)")
     assert seeded[0].endswith("seed=7)")
     assert seeded[1:] != default[1:]  # the split follows the override seed
+
+
+def _help(argv, capsys) -> str:
+    with pytest.raises(SystemExit):
+        main(argv + ["--help"])
+    return capsys.readouterr().out
+
+
+def _usage_words(line: str) -> tuple[set[str], list[str]]:
+    """A usage line's options and, upper-cased, its positional arguments."""
+    positional = re.sub(r"\[[^]]*\]", "", line).split()
+    return set(re.findall(r"--[\w-]+", line)), [w.upper() for w in positional]
+
+
+def test_usage_docstring_lists_each_verbs_options(capsys):
+    documented = {
+        line.split()[1]: line.strip()
+        for line in fedsim.cli.__doc__.splitlines()
+        if line.startswith("    fedsim ")
+    }
+    verbs = re.search(r"\{([\w,-]+)\}", _help([], capsys)).group(1).split(",")
+    assert sorted(documented) == sorted(verbs)
+    for verb in verbs:
+        # argparse's usage paragraph, e.g. "usage: fedsim run [-h] [--seed SEED] ... config"
+        usage = " ".join(_help([verb], capsys).split("\n\n")[0].split()[1:])
+        assert _usage_words(documented[verb]) == _usage_words(usage), verb
 
 
 def test_check_verb(capsys):

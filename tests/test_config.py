@@ -142,15 +142,17 @@ def test_wrong_type_reports_line(tmp_path):
 
 
 def test_semantic_errors_become_config_errors(tmp_path):
-    with pytest.raises(ConfigError, match="sample_ratio"):
+    # A section's own rules are reported at the section and its line; a
+    # top-level field's message already names its key.
+    with pytest.raises(ConfigError, match=r"^sample_ratio must"):
         parse_config(write(tmp_path, "sample_ratio: 0.0\n"))
-    with pytest.raises(ConfigError, match="momentum"):
+    with pytest.raises(ConfigError, match=r"^client \(line 1\): momentum"):
         parse_config(write(tmp_path, "client:\n  momentum: 1.5\n"))
-    with pytest.raises(ConfigError, match="alpha"):
+    with pytest.raises(ConfigError, match=r"^data \(line 1\): alpha"):
         parse_config(write(tmp_path, "data:\n  alpha: -1.0\n"))
-    with pytest.raises(ConfigError, match="hidden_dim >= 1"):
+    with pytest.raises(ConfigError, match=r"^model \(line 1\): mlp1 needs hidden_dim >= 1"):
         parse_config(write(tmp_path, "model:\n  kind: mlp1\n  hidden_dim: 0\n"))
-    with pytest.raises(ConfigError, match="has_header"):
+    with pytest.raises(ConfigError, match=r"^data \(line 1\): label_col by name requires has_header"):
         parse_config(write(tmp_path, "data:\n  source: csv\n  path: d.csv\n  label_col: y\n"))
 
 
@@ -332,8 +334,8 @@ grid:
         )
     )
     assert isinstance(spec, GridSpec)
-    assert spec.opt_c_values == ("sgd", "prox")
-    assert spec.opt_s_values == ("sgd", "yogi")
+    assert spec.opt_c == ("sgd", "prox")
+    assert spec.opt_s == ("sgd", "yogi")
     assert spec.seeds == (0, 1, 2)
     assert spec.checkpoints == (10, 20)
     assert len(spec.cells()) == 2 * 2 * 3
@@ -342,7 +344,7 @@ grid:
 def test_grid_defaults_to_full_sweep(tmp_path):
     spec = parse_config(write(tmp_path, "rounds: 4\neval_every: 2\ngrid: {}\n"))
     assert isinstance(spec, GridSpec)
-    assert len(spec.opt_c_values) == 4 and len(spec.opt_s_values) == 4
+    assert len(spec.opt_c) == 4 and len(spec.opt_s) == 4
     assert spec.seeds == (0,)
     assert spec.resolved_checkpoints() == (4,)
     assert len(spec.cells()) == 16
@@ -371,10 +373,27 @@ def test_grid_checkpoint_validation(tmp_path):
 def test_grid_rejects_duplicates_and_bad_tokens(tmp_path):
     with pytest.raises(ConfigError, match="duplicates"):
         parse_config(write(tmp_path, "grid:\n  seeds: [1, 1]\n"))
+    with pytest.raises(ConfigError, match=r"^grid \(line 2\): opt_c contains duplicates"):
+        parse_config(write(tmp_path, "rounds: 3\ngrid:\n  opt_c: [sgd, sgd]\n"))
+    with pytest.raises(ConfigError, match=r"^grid \(line 1\): opt_s contains duplicates"):
+        parse_config(write(tmp_path, "grid:\n  opt_s: [adam, yogi, adam]\n"))
     with pytest.raises(ConfigError, match="valid tokens"):
         parse_config(write(tmp_path, "grid:\n  opt_c: [sgd, avg]\n"))
     with pytest.raises(ConfigError, match="empty"):
         parse_config(write(tmp_path, "grid:\n  seeds: []\n"))
+
+
+@pytest.mark.parametrize(
+    "axis, match",
+    [
+        ({"opt_c": ("sgd", "bogus")}, "unknown opt_c 'bogus'"),
+        ({"opt_s": ("bogus",)}, "unknown opt_s 'bogus'"),
+        ({"seeds": (0, -1)}, "seed must be >= 0"),
+    ],
+)
+def test_grid_spec_checks_cells_with_run_rules(axis, match):
+    with pytest.raises(ValueError, match=match):
+        GridSpec(ExperimentConfig(rounds=4, eval_every=2), **axis)
 
 
 def test_grid_serialize_roundtrip(tmp_path):
