@@ -57,9 +57,21 @@ from .orchestrator import (
     write_metrics_csv,
 )
 from .config import ConfigError, GridSpec, parse_config, save_config, serialize_config
-from .cli import GridResult, emit_per_seed_report, emit_report, run_grid
 
 __version__ = "0.1.0"
+
+# Re-exported from .cli on first use: an eager import would leave
+# fedsim.cli in sys.modules before `python -m fedsim.cli` runs it.
+_CLI_EXPORTS = ("GridResult", "emit_per_seed_report", "emit_report", "run_grid")
+
+
+def __getattr__(name: str):
+    if name in _CLI_EXPORTS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALGORITHM_NAMES",

@@ -30,6 +30,7 @@ from .orchestrator import (
     algorithm_name,
     prepare_data,
     run_experiment,
+    shared_data,
 )
 
 REPORT_COLUMNS_FIXED = ("algorithm_name", "opt_c", "opt_s")
@@ -68,18 +69,25 @@ def run_grid(
     include_timing: bool = True,
     progress=None,
 ) -> GridResult:
-    """Run every (opt_c, opt_s, seed) cell; one cell diverging never stops the rest."""
+    """Run every (opt_c, opt_s, seed) cell; one cell diverging never stops the rest.
+
+    The sweep builds its data once per distinct (data section, seed,
+    ``num_clients``): cells that agree on them share one read-only
+    dataset and partition, and each cell gives the same bits as a run of
+    its config alone.
+    """
     out = Path(out_dir) if out_dir is not None else None
     cells = []
-    for opt_c, opt_s, seed in spec.cells():
-        cfg = spec.cell_config(opt_c, opt_s, seed)
-        cell_dir = out / f"{algorithm_name(opt_c, opt_s)}_seed{seed}" if out else None
-        result = run_experiment(
-            cfg, out_dir=cell_dir, threads=threads, include_timing=include_timing
-        )
-        cells.append(GridCell(opt_c, opt_s, seed, result))
-        if progress is not None:
-            progress(cells[-1])
+    with shared_data():
+        for opt_c, opt_s, seed in spec.cells():
+            cfg = spec.cell_config(opt_c, opt_s, seed)
+            cell_dir = out / f"{algorithm_name(opt_c, opt_s)}_seed{seed}" if out else None
+            result = run_experiment(
+                cfg, out_dir=cell_dir, threads=threads, include_timing=include_timing
+            )
+            cells.append(GridCell(opt_c, opt_s, seed, result))
+            if progress is not None:
+                progress(cells[-1])
     grid_result = GridResult(spec, cells)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)

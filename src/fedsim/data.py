@@ -25,6 +25,12 @@ TAG_PARTITION = 3
 TAG_BATCH = 4
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Feature matrix (n, d) float64 plus labels (n,) int64 in [0, num_classes)."""
@@ -42,8 +48,10 @@ class Dataset:
                 f"labels must lie in [0, {self.num_classes}), got range "
                 f"[{int(labs.min())}, {int(labs.max())}]"
             )
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        # Read-only views: runs that share a dataset cannot change it, and
+        # the caller's own arrays stay writeable.
+        object.__setattr__(self, "features", _read_only(feats))
+        object.__setattr__(self, "labels", _read_only(labs))
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
@@ -74,7 +82,10 @@ class Partition:
             raise ValueError("assignment is not a disjoint cover of all sample indices")
         if (counts == 0).any():
             raise ValueError("every client must receive at least one sample")
-        return cls(arrays, counts, counts / counts.sum())
+        ratios = counts / counts.sum()
+        for arr in (*arrays, counts, ratios):  # runs may share a partition
+            arr.flags.writeable = False
+        return cls(arrays, counts, ratios)
 
     @property
     def num_clients(self) -> int:
@@ -221,6 +232,10 @@ def load_csv_dataset(
         if not (0 <= label_idx < width):
             raise ValueError(f"{path}: label_col {label_col} out of range for {width} columns")
 
+    fast = _convert_rows(rows, label_idx)
+    if fast is not None:
+        return fast
+    # Some check failed: the row loop finds the first bad row and names it.
     offset = 2 if has_header else 1
     feats, labels = [], []
     for r, row in enumerate(rows):
@@ -259,3 +274,27 @@ def load_csv_dataset(
         )
     labs = np.array(labels, dtype=np.int64)
     return Dataset(np.array(feats, dtype=np.float64), labs, num_classes)
+
+
+def _convert_rows(rows: list[list[str]], label_idx: int) -> Dataset | None:
+    """The whole table in one numpy conversion, or None if any row is bad.
+
+    numpy parses each cell as ``float()`` does, bit for bit.  Every check
+    of ``load_csv_dataset``'s row loop is made here vectorized; where one
+    fails this returns None and the loop runs only to word the error.
+    """
+    try:
+        table = np.array(rows, dtype=np.float64)  # ValueError if ragged or not numeric
+    except ValueError:
+        return None
+    lab = table[:, label_idx]
+    # NaN fails the first test, -inf the second, +inf the third.  A label
+    # >= the row count cannot leave 0..K-1 covered; the loop reports it
+    # on Python ints, before any int64 cast.
+    if not ((lab == np.trunc(lab)).all() and lab.min() >= 0 and lab.max() < lab.shape[0]):
+        return None
+    labels = lab.astype(np.int64)
+    counts = np.bincount(labels)
+    if counts.shape[0] < 2 or not counts.all():
+        return None
+    return Dataset(np.delete(table, label_idx, axis=1), labels, counts.shape[0])

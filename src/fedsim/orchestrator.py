@@ -15,7 +15,10 @@ from __future__ import annotations
 import csv
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -239,11 +242,39 @@ def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
     return load_csv_dataset(cfg.path, cfg.label_col, cfg.has_header)
 
 
+# prepare_data's results by input while a ``shared_data()`` block is open
+# (per thread, like any context variable).
+_shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None)
+
+
+@contextmanager
+def shared_data() -> Iterator[None]:
+    """Within the block, ``prepare_data`` builds each distinct input once.
+
+    Runs that agree on (data section, seed, ``num_clients``) then share one
+    read-only (train, test, partition).  The memo ends with the block, so a
+    data file rewritten between two blocks is read again; an outer block's
+    memo is restored on exit.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def prepare_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Partition]:
     """Build the data, hold out the test split, partition the rest: (train, test, partition)."""
+    memo = _shared.get()
+    key = (cfg.data, cfg.seed, cfg.num_clients)
+    if memo is not None and key in memo:
+        return memo[key]
     full = build_dataset(cfg.data, cfg.seed)
     train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
-    return train, test, dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
+    data = train, test, dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
+    if memo is not None:
+        memo[key] = data
+    return data
 
 
 class FederatedRun:

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedsim
 from fedsim.cli import GridResult, emit_report, main, run_grid
 from fedsim.config import parse_config
+from fedsim.orchestrator import algorithm_name, run_experiment
 
 TINY = """
 num_clients: 6
@@ -202,6 +204,60 @@ def test_grid_on_plain_config_sweeps_full_4x4(tmp_path):
     assert len(rows) == 17  # header + 16 combinations
 
 
+def write_blobs_csv(path: Path, seed: int) -> str:
+    """90 rows of 4 features and a label in 0..2, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(90) % 3
+    feats = rng.normal(size=(3, 4))[labels] + rng.standard_normal((90, 4))
+    path.write_text(
+        "".join(",".join(map(repr, f)) + f",{y}\n" for f, y in zip(feats.tolist(), labels.tolist()))
+    )
+    return str(path)
+
+
+def csv_grid_config(tmp_path, opt_c="[sgd, scaf]", opt_s="[sgd, adam]", seeds="[0, 1]"):
+    csv_path = tmp_path / "blobs.csv"
+    if not csv_path.exists():
+        write_blobs_csv(csv_path, seed=0)
+    return write_config(
+        tmp_path,
+        "num_clients: 6\nsample_ratio: 0.5\nrounds: 4\neval_every: 2\n"
+        f"data:\n  source: csv\n  path: {csv_path}\n"
+        f"grid:\n  opt_c: {opt_c}\n  opt_s: {opt_s}\n  seeds: {seeds}\n",
+    )
+
+
+def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
+    spec = parse_config(csv_grid_config(tmp_path))
+    run_grid(spec, out_dir=tmp_path / "grid", include_timing=False)
+    assert builds == [0, 1]  # 8 cells, 2 seeds
+    for opt_c, opt_s, seed in spec.cells():
+        name = f"{algorithm_name(opt_c, opt_s)}_seed{seed}"
+        alone = tmp_path / "alone" / name
+        run_experiment(spec.cell_config(opt_c, opt_s, seed), out_dir=alone, include_timing=False)
+        for file in ("metrics.csv", "model_final.bin", "model_best.bin"):
+            assert (tmp_path / "grid" / name / file).read_bytes() == (alone / file).read_bytes()
+    assert len(builds) == 2 + 8  # a run after the sweep builds its own data
+
+
+def test_grid_rereads_a_rewritten_csv(tmp_path):
+    spec = parse_config(csv_grid_config(tmp_path, "[sgd]", "[sgd]", "[0]"))
+    before = run_grid(spec).cells[0].result.final_state.w.values
+    write_blobs_csv(tmp_path / "blobs.csv", seed=1)
+    after = run_grid(spec).cells[0].result.final_state.w.values
+    alone = run_experiment(spec.cell_config("sgd", "sgd", 0)).final_state.w.values
+    assert after.tobytes() == alone.tobytes()
+    assert after.tobytes() != before.tobytes()
+
+
+def test_grid_on_malformed_csv_names_the_row(tmp_path, capsys):
+    cfg = csv_grid_config(tmp_path)
+    (tmp_path / "blobs.csv").write_text("1.0,0\n2.0,1\nbad,0\n")
+    assert main(["grid", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'blobs.csv'}: row 3, column 1: 'bad' is not numeric\n"
+
+
 # ------------------------------------------------------------------ report
 
 
@@ -291,3 +347,26 @@ def test_python_dash_m_fedsim_runs_check():
     assert proc.returncode == 0, proc.stderr
     assert "ok   gradients" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_python_dash_m_fedsim_cli_warns_nothing():
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fedsim.cli", "check"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # The package imports cli only when one of its re-exports is asked for.
+    lazy = (
+        "import sys, fedsim; assert 'fedsim.cli' not in sys.modules; "
+        "from fedsim import GridResult, emit_per_seed_report, emit_report, run_grid; "
+        "assert run_grid is sys.modules['fedsim.cli'].run_grid"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", lazy], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert {"GridResult", "emit_per_seed_report", "emit_report", "run_grid"} <= set(fedsim.__all__)

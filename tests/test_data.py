@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from fedsim import data as data_mod
 from fedsim.data import (
     Dataset,
     Partition,
@@ -77,7 +81,27 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1]), num_classes=2)  # length mismatch
 
 
+def test_dataset_stores_read_only_views_of_callers_arrays():
+    feats = np.zeros((4, 2))
+    labels = np.array([0, 1, 0, 1], dtype=np.int64)
+    ds = Dataset(feats, labels, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.features[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.labels[0] = 1
+    feats[0, 0] = 1.0  # the caller's arrays stay writeable
+    labels[0] = 1
+    assert ds.features[0, 0] == 1.0  # a view, not a copy
+
+
 # ------------------------------------------------------------------ partition
+
+
+def test_partition_from_assignment_is_read_only():
+    part = Partition.from_assignment([np.array([2, 0]), np.array([1])], 3)
+    for arr in (*part.assignment, part.counts, part.ratios):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
 
 
 def test_partition_is_disjoint_cover():
@@ -328,3 +352,35 @@ def test_load_csv_label_col_out_of_range(tmp_path):
     p = write_csv(tmp_path / "d.csv", "1.0,0\n2.0,1\n")
     with pytest.raises(ValueError, match="out of range"):
         load_csv_dataset(p, label_col=5)
+
+
+def float_parse(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The reference parse: ``float()`` on every cell, the label last."""
+    vals = [[float(c) for c in row] for row in csv.reader(io.StringIO(text)) if row]
+    labels = [int(row.pop()) for row in vals]
+    return np.array(vals, dtype=np.float64), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "-0.0,0.0,0\n0.0,-0.0,1\n-0.0,1.0,-0.0\n",  # sign bits, a -0.0 label
+        "5e-324,2.2250738585072014e-308,0\n-4.9406564584124654e-324,-1e-310,1\n",
+        "2.4703282292062328e-324,2.225073858507201e-308,0\n1e-320,-2.5e-320,1\n",
+        "0.30000000000000004,0.1,0\n1.0000000000000002,2.7182818284590451,1\n",
+        "9007199254740993,0.12345678901234567890123,0\n1.7976931348623157e308,-3.3,1\n",
+        "1e3,1E-3,0\n-2.5e+10,.5e-3,1\n7.e2,-1E+0,1.0e0\n",
+        " 1.5 ,\t2.0\t, 0 \n 3.25,4 ,1\n",
+        "1_000,2_0.5,0\n-3_1,4,1_0e-1\n",
+    ],
+    ids=["signed-zero", "subnormal", "subnormal-rounding", "repr17", "long-digits",
+         "exponent", "whitespace", "underscore"],
+)
+def test_load_csv_parses_like_float(tmp_path, text):
+    want_x, want_y = float_parse(text)
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    fast = data_mod._convert_rows(rows, len(rows[0]) - 1)
+    assert fast is not None  # the vectorized conversion, not the row loop
+    for ds in (fast, load_csv_dataset(write_csv(tmp_path / "d.csv", text))):
+        assert ds.features.tobytes() == want_x.tobytes()
+        npt.assert_array_equal(ds.labels, want_y)

@@ -20,9 +20,11 @@ from fedsim.orchestrator import (
     ModelConfig,
     algorithm_name,
     load_params,
+    prepare_data,
     run_experiment,
     sample_clients,
     save_params,
+    shared_data,
     write_metrics_csv,
 )
 from fedsim.params import ParamVector
@@ -239,6 +241,41 @@ def test_divergence_aborts_with_sentinel_row():
 def test_num_clients_exceeding_samples_raises():
     with pytest.raises(ValueError, match="exceeds"):
         FederatedRun(tiny_config(num_clients=80))  # only 72 training samples
+
+
+def test_prepare_data_arrays_are_read_only():
+    train, test, part = prepare_data(tiny_config())
+    for arr in (train.features, train.labels, test.features, test.labels, part.counts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+
+
+def test_shared_data_builds_each_input_once_within_its_block(builds):
+    cfg = tiny_config()
+    assert prepare_data(cfg) is not prepare_data(cfg)  # no memo outside a block
+    assert len(builds) == 2
+    with shared_data():
+        first = prepare_data(cfg)
+        # Cells that differ only in their optimizers share one build.
+        assert prepare_data(tiny_config(client=ClientConfig(opt_c="scaf"))) is first
+        assert len(builds) == 3
+        for other in (
+            tiny_config(seed=1),
+            tiny_config(num_clients=5),
+            tiny_config(data=DataConfig(num_classes=3, dim=4, samples_per_class=30, alpha=1.0)),
+        ):
+            assert prepare_data(other) is not first
+        assert len(builds) == 6
+        with shared_data():  # an inner block starts empty ...
+            assert prepare_data(cfg) is not first
+        assert prepare_data(cfg) is first  # ... and the outer memo comes back
+        assert len(builds) == 7
+    with pytest.raises(RuntimeError):
+        with shared_data():
+            prepare_data(cfg)
+            raise RuntimeError
+    prepare_data(cfg)
+    assert len(builds) == 9  # no memo survives a block, even one that raised
 
 
 def test_payload_accounting_scaf_doubles_vectors():
