@@ -71,24 +71,31 @@ def run_grid(
 ) -> GridResult:
     """Run every (opt_c, opt_s, seed) cell; one cell diverging never stops the rest.
 
-    The sweep builds its data once per distinct (data section, seed,
-    ``num_clients``): cells that agree on them share one read-only
-    dataset and partition, and each cell gives the same bits as a run of
-    its config alone.
+    The cells run seed by seed, each seed inside its own ``shared_data()``
+    block, so the sweep derives what one seed's cells share once: the
+    dataset, split, partition and client shards (per distinct data
+    section and ``num_clients``), each round's client sample, each
+    client's seed and each epoch's batch order.  Only one seed's values
+    are held at a time (about 8 bytes per sampled sample per local epoch
+    per round, besides the data).  Each cell gives the same bits as a run
+    of its config alone, and the result lists the cells in spec order.
     """
     out = Path(out_dir) if out_dir is not None else None
-    cells = []
-    with shared_data():
-        for opt_c, opt_s, seed in spec.cells():
-            cfg = spec.cell_config(opt_c, opt_s, seed)
-            cell_dir = out / f"{algorithm_name(opt_c, opt_s)}_seed{seed}" if out else None
-            result = run_experiment(
-                cfg, out_dir=cell_dir, threads=threads, include_timing=include_timing
-            )
-            cells.append(GridCell(opt_c, opt_s, seed, result))
-            if progress is not None:
-                progress(cells[-1])
-    grid_result = GridResult(spec, cells)
+    done: dict[tuple[str, str, int], GridCell] = {}
+    for seed in spec.seeds:
+        with shared_data():
+            for opt_c, opt_s, cell_seed in spec.cells():
+                if cell_seed != seed:
+                    continue
+                cfg = spec.cell_config(opt_c, opt_s, seed)
+                cell_dir = out / f"{algorithm_name(opt_c, opt_s)}_seed{seed}" if out else None
+                result = run_experiment(
+                    cfg, out_dir=cell_dir, threads=threads, include_timing=include_timing
+                )
+                cell = done[opt_c, opt_s, seed] = GridCell(opt_c, opt_s, seed, result)
+                if progress is not None:
+                    progress(cell)
+    grid_result = GridResult(spec, [done[key] for key in spec.cells()])
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         emit_report(grid_result, out / "report.csv")
@@ -226,14 +233,15 @@ def _cmd_partition_stats(args) -> int:
     cfg = parsed.base if isinstance(parsed, GridSpec) else parsed
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    train, _, part = prepare_data(cfg)
+    data = prepare_data(cfg)
+    train, part = data.train, data.partition
     print(
         f"{cfg.num_clients} clients over {len(train)} training samples "
         f"(alpha={cfg.data.alpha}, seed={cfg.seed})"
     )
     needed = []
-    for cid, idx in enumerate(part.assignment):
-        hist = np.bincount(train.labels[idx], minlength=train.num_classes)
+    for cid, shard in enumerate(data.shards):
+        hist = np.bincount(shard.labels, minlength=train.num_classes)
         top = np.sort(hist)[::-1]
         need = int(np.searchsorted(np.cumsum(top), 0.9 * hist.sum()) + 1)
         needed.append(need)

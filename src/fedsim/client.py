@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import epoch_batches
+from .data import _read_only, epoch_batches
 from .model import Batch, ModelSpec, loss_and_grad, validate_xy
 from .params import NonFiniteError, ParamVector
 
@@ -93,7 +93,8 @@ class ClientShard:
     """One client's local data, fixed for the whole simulation.
 
     The arrays are validated once, here, by ``validate_xy``; every batch
-    cut from them later is trusted.
+    cut from them later is trusted.  They are kept as read-only views, so
+    runs may share a shard, and the caller's own arrays stay writeable.
     """
 
     client_id: int
@@ -102,8 +103,8 @@ class ClientShard:
 
     def __post_init__(self) -> None:
         feats, labs = validate_xy(self.features, self.labels)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "features", _read_only(feats))
+        object.__setattr__(self, "labels", _read_only(labs))
 
     @property
     def num_samples(self) -> int:
@@ -173,7 +174,7 @@ def update_control_variate(
         return grad
     if steps < 1 or not (lr > 0):
         raise ValueError("option II needs steps >= 1 and lr > 0")
-    return ParamVector(
+    return ParamVector._own(
         local_c.values - global_c.values + (global_w.values - local_w.values) / (steps * lr)
     )
 
@@ -252,7 +253,7 @@ def local_train(
                     steps=step,
                     lr=cfg.lr,
                 )
-                delta_control = ParamVector(new_local_c.values - local_c.values)
+                delta_control = ParamVector._own(new_local_c.values - local_c.values)
         except NonFiniteError as exc:
             raise DivergenceError(round_idx, shard.client_id, step, str(exc)) from exc
 

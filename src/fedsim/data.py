@@ -9,7 +9,11 @@ large alpha approaches a uniform IID split.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -23,6 +27,56 @@ TAG_SYNTH = 1
 TAG_SPLIT = 2
 TAG_PARTITION = 3
 TAG_BATCH = 4
+
+T = TypeVar("T")
+
+# What runs repeat, by input, while a ``shared_data()`` block is open (per
+# thread, like any context variable).
+_shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None)
+
+
+@contextmanager
+def shared_data() -> Iterator[None]:
+    """Within the block, runs derive what they have in common once.
+
+    Runs that agree on (data section, seed, ``num_clients``) share one
+    prepared dataset: split, partition, client shards and test batch.
+    Runs of one seed share each round's client sample (for the same
+    ``num_clients`` and ``sample_ratio``), each client's seed and each
+    epoch's batch order of a shard.  Every shared value is immutable or
+    read-only, so no run can change what the next one reads, and each
+    run gives the same bits as outside a block.
+
+    The memo holds it all until the block ends: a prepared dataset per
+    key and, per seed and round, the sampled ids, their seeds and one
+    int64 index per sampled sample per local epoch (8 bytes x rounds x
+    sampled samples x local epochs a seed), which is why ``run_grid``
+    opens one block per seed.  Ending with the block, it
+    reads a data file rewritten between two blocks again; an outer
+    block's memo is restored on exit.  Threads other than the one that
+    opened the block see no memo and derive everything themselves.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _memo(key: tuple, build: Callable[[], T]) -> T:
+    """``build()``; inside a ``shared_data()`` block, only once per ``key``.
+
+    ``key`` must name the derivation and hold its whole input, and the
+    value must be immutable or read-only.
+    """
+    memo = _shared.get()
+    if memo is None:
+        return build()
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build()
+        return value
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -192,8 +246,13 @@ def epoch_batches(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
-    perm = idx[seeded_rng(seed, TAG_BATCH, epoch).permutation(idx.shape[0])]
-    return [perm[i : i + batch_size] for i in range(0, idx.shape[0], batch_size)]
+    n = idx.shape[0]
+    order = _memo(
+        ("batch_order", seed, epoch, n),
+        lambda: _read_only(seeded_rng(seed, TAG_BATCH, epoch).permutation(n)),
+    )
+    perm = idx[order]
+    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def load_csv_dataset(
@@ -209,18 +268,23 @@ def load_csv_dataset(
     integers forming a contiguous range 0..K-1; violations are reported
     with their row number (1-based, counting any header line).
     """
+    # The first two non-empty rows give the header and the width, and
+    # tell an empty file from one numpy would only warn about.
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
+        nonempty = filter(None, reader)
+        first = next(nonempty, None)
+        header_lines = reader.line_num
+        second = next(nonempty, None)
+    if first is None:
         raise ValueError(f"{path}: file is empty")
     header: list[str] | None = None
     if has_header:
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+        header = [c.strip() for c in first]
+        if second is None:
             raise ValueError(f"{path}: no data rows after header")
-    width = len(rows[0])
+        first = second
+    width = len(first)
     if isinstance(label_col, str):
         if header is None:
             raise ValueError("label_col by name requires has_header=True")
@@ -232,10 +296,28 @@ def load_csv_dataset(
         if not (0 <= label_idx < width):
             raise ValueError(f"{path}: label_col {label_col} out of range for {width} columns")
 
-    fast = _convert_rows(rows, label_idx)
-    if fast is not None:
-        return fast
-    # Some check failed: the row loop finds the first bad row and names it.
+    # numpy's C parser gives ``float()``'s bits and refuses every cell
+    # ``float()`` refuses, and more (quotes, ``1_000``, non-ASCII digits,
+    # blank-only or ragged rows).  Any refusal falls back to ``csv``.
+    try:
+        table = np.loadtxt(
+            path,
+            delimiter=",",
+            dtype=np.float64,
+            comments=None,
+            skiprows=header_lines if has_header else 0,
+            ndmin=2,
+        )
+    except ValueError:
+        table = None
+    if table is not None:
+        fast = _table_dataset(table, label_idx)
+        if fast is not None:
+            return fast
+    # numpy refused the text or a label check failed: the row loop parses
+    # what numpy would not, or finds the first bad row and names it.
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row][1 if has_header else 0 :]
     offset = 2 if has_header else 1
     feats, labels = [], []
     for r, row in enumerate(rows):
@@ -276,17 +358,8 @@ def load_csv_dataset(
     return Dataset(np.array(feats, dtype=np.float64), labs, num_classes)
 
 
-def _convert_rows(rows: list[list[str]], label_idx: int) -> Dataset | None:
-    """The whole table in one numpy conversion, or None if any row is bad.
-
-    numpy parses each cell as ``float()`` does, bit for bit.  Every check
-    of ``load_csv_dataset``'s row loop is made here vectorized; where one
-    fails this returns None and the loop runs only to word the error.
-    """
-    try:
-        table = np.array(rows, dtype=np.float64)  # ValueError if ragged or not numeric
-    except ValueError:
-        return None
+def _table_dataset(table: np.ndarray, label_idx: int) -> Dataset | None:
+    """The Dataset of a parsed table, or None if a label check fails."""
     lab = table[:, label_idx]
     # NaN fails the first test, -inf the second, +inf the third.  A label
     # >= the row count cannot leave 0..K-1 covered; the loop reports it

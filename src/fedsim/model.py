@@ -162,15 +162,18 @@ def _cross_entropy(spec: ModelSpec, params: ParamVector, batch: Batch):
         raise ValueError(
             f"feature dim {batch.features.shape[1]} does not match input_dim {spec.input_dim}"
         )
-    if batch.labels.max() >= spec.num_classes:
-        raise ValueError(
-            f"label {int(batch.labels.max())} out of range for {spec.num_classes} classes"
-        )
     logits, cache = _forward(spec, params.values, batch.features)
     logp = _log_softmax(logits)
     n = len(batch)
+    try:
+        # Labels are non-negative (validate_xy), so only one too large fails.
+        picked = logp[np.arange(n), batch.labels]
+    except IndexError:
+        raise ValueError(
+            f"label {int(batch.labels.max())} out of range for {spec.num_classes} classes"
+        ) from None
     # np.mean's own float64 arithmetic, without its Python-level overhead.
-    loss = -(logp[np.arange(n), batch.labels].sum() / n)
+    loss = -(picked.sum() / n)
     if not np.isfinite(loss):
         raise NonFiniteError("loss is NaN or Inf")
     return float(loss), logits, logp, cache

@@ -15,10 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
@@ -29,9 +26,11 @@ from .client import ClientConfig, ClientShard, ClientUpdate, DivergenceError, lo
 from .data import (
     Dataset,
     Partition,
+    _memo,
     dirichlet_partition,
     load_csv_dataset,
     gen_synthetic,
+    shared_data,
     split_train_test,
 )
 from .model import Batch, ModelSpec, evaluate, init_params
@@ -242,39 +241,36 @@ def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
     return load_csv_dataset(cfg.path, cfg.label_col, cfg.has_header)
 
 
-# prepare_data's results by input while a ``shared_data()`` block is open
-# (per thread, like any context variable).
-_shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None)
+@dataclass(frozen=True)
+class PreparedData:
+    """A run's data, ready to train on; every array in it is read-only."""
+
+    train: Dataset
+    partition: Partition
+    shards: tuple[ClientShard, ...]
+    test_batch: Batch
 
 
-@contextmanager
-def shared_data() -> Iterator[None]:
-    """Within the block, ``prepare_data`` builds each distinct input once.
+def prepare_data(cfg: ExperimentConfig) -> PreparedData:
+    """Build the data, hold out the test split, partition the rest and cut the shards.
 
-    Runs that agree on (data section, seed, ``num_clients``) then share one
-    read-only (train, test, partition).  The memo ends with the block, so a
-    data file rewritten between two blocks is read again; an outer block's
-    memo is restored on exit.
+    Inside a ``shared_data()`` block, runs that agree on (data section,
+    seed, ``num_clients``) share one result.
     """
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
 
+    def build() -> PreparedData:
+        full = build_dataset(cfg.data, cfg.seed)
+        train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
+        partition = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
+        shards = tuple(
+            ClientShard(cid, train.features[idx], train.labels[idx])
+            for cid, idx in enumerate(partition.assignment)
+        )
+        # A Dataset's arrays passed validate_xy and are read-only views.
+        test_batch = Batch._of_rows(test.features, test.labels)
+        return PreparedData(train, partition, shards, test_batch)
 
-def prepare_data(cfg: ExperimentConfig) -> tuple[Dataset, Dataset, Partition]:
-    """Build the data, hold out the test split, partition the rest: (train, test, partition)."""
-    memo = _shared.get()
-    key = (cfg.data, cfg.seed, cfg.num_clients)
-    if memo is not None and key in memo:
-        return memo[key]
-    full = build_dataset(cfg.data, cfg.seed)
-    train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
-    data = train, test, dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
-    if memo is not None:
-        memo[key] = data
-    return data
+    return _memo(("data", cfg.data, cfg.seed, cfg.num_clients), build)
 
 
 class FederatedRun:
@@ -285,13 +281,11 @@ class FederatedRun:
             raise ValueError(f"threads must be >= 1, got {threads}")
         self.cfg = cfg
         self.threads = threads
-        train, test, self.partition = prepare_data(cfg)
-        self.spec = cfg.model.spec(train.dim, train.num_classes)
-        self.shards = [
-            ClientShard(cid, train.features[idx], train.labels[idx])
-            for cid, idx in enumerate(self.partition.assignment)
-        ]
-        self.test_batch = Batch(test.features, test.labels)
+        data = prepare_data(cfg)
+        self.partition = data.partition
+        self.spec = cfg.model.spec(data.train.dim, data.train.num_classes)
+        self.shards = data.shards
+        self.test_batch = data.test_batch
         w0 = init_params(self.spec, spawn_seed(cfg.seed, TAG_INIT))
         self.state = ServerState.initial(w0)
         self.initial_params = w0
@@ -323,6 +317,7 @@ class FederatedRun:
         return num_selected * (down + up)
 
     def _train_one(self, round_idx: int, cid: int) -> tuple[ClientUpdate, ParamVector | None]:
+        key = (self.cfg.seed, TAG_CLIENT, round_idx, cid)
         scaf = self.cfg.opt_c == "scaf"
         return local_train(
             self.spec,
@@ -330,7 +325,7 @@ class FederatedRun:
             self.shards[cid],
             self.cfg.client,
             round_idx,
-            spawn_seed(self.cfg.seed, TAG_CLIENT, round_idx, cid),
+            _memo(("spawn_seed", *key), lambda: spawn_seed(*key)),
             global_c=self.state.c if scaf else None,
             local_c=self.controls[cid] if scaf else None,
         )
@@ -339,7 +334,8 @@ class FederatedRun:
         """Advance one round; raises DivergenceError if any client blows up."""
         t0 = time.perf_counter()
         cfg = self.cfg
-        ids = sample_clients(cfg.num_clients, cfg.sample_ratio, round_idx, self._sampling_seed)
+        key = (cfg.num_clients, cfg.sample_ratio, round_idx, self._sampling_seed)
+        ids = _memo(("sample_clients", *key), lambda: tuple(sample_clients(*key)))
         if self.threads > 1 and len(ids) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 results = list(pool.map(lambda cid: self._train_one(round_idx, cid), ids))
@@ -351,7 +347,7 @@ class FederatedRun:
             delta = aggregate(updates)
             if cfg.opt_c == "scaf":
                 control_delta = aggregate_control(updates)
-                new_c = ParamVector(self.state.c.values + control_delta.values)
+                new_c = ParamVector._own(self.state.c.values + control_delta.values)
                 self.state = replace(self.state, c=new_c)
                 for upd, new_local in results:
                     self.controls[upd.client_id] = new_local

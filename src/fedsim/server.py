@@ -106,7 +106,7 @@ def aggregate(updates: list[ClientUpdate]) -> ParamVector:
     length = len(updates[0].delta)
     norms = [u.coeff_norm for u in updates]
     if all(norm is None for norm in norms):
-        return ParamVector(_weighted_sum(weights, (u.delta.values for u in updates), length))
+        return ParamVector._own(_weighted_sum(weights, (u.delta.values for u in updates), length))
     for u in updates:
         if u.coeff_norm is None or not (u.coeff_norm > 0):
             raise ValueError(
@@ -115,7 +115,7 @@ def aggregate(updates: list[ClientUpdate]) -> ParamVector:
             )
     acc = _weighted_sum(weights, (u.delta.values / u.coeff_norm for u in updates), length)
     acc *= float(np.dot(weights, norms))
-    return ParamVector(acc)
+    return ParamVector._own(acc)
 
 
 def aggregate_control(updates: list[ClientUpdate]) -> ParamVector:
@@ -125,7 +125,7 @@ def aggregate_control(updates: list[ClientUpdate]) -> ParamVector:
         if u.delta_control is None:
             raise ValueError(f"update from client {u.client_id} carries no control difference")
     deltas = (u.delta_control.values for u in updates)
-    return ParamVector(_weighted_sum(weights, deltas, len(updates[0].delta_control)))
+    return ParamVector._own(_weighted_sum(weights, deltas, len(updates[0].delta_control)))
 
 
 def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> ServerState:
@@ -137,7 +137,7 @@ def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> Se
     # (divergence), so numpy's own warning is redundant.
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.opt_s == "sgd":
-            new_w = ParamVector(state.w.values + cfg.lr * delta.values)
+            new_w = ParamVector._own(state.w.values + cfg.lr * delta.values)
             return replace(state, w=new_w, round_idx=state.round_idx + 1)
 
         d = delta.values
@@ -158,8 +158,8 @@ def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> Se
             new_w = state.w.values + step
     return replace(
         state,
-        w=ParamVector(new_w),
-        m=ParamVector(m),
-        v=ParamVector(v),
+        w=ParamVector._own(new_w),
+        m=ParamVector._own(m),
+        v=ParamVector._own(v),
         round_idx=state.round_idx + 1,
     )

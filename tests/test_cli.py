@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fedsim
+from fedsim import data as data_mod
 from fedsim.cli import GridResult, emit_report, main, run_grid
 from fedsim.config import parse_config
 from fedsim.orchestrator import algorithm_name, run_experiment
@@ -215,29 +216,77 @@ def write_blobs_csv(path: Path, seed: int) -> str:
     return str(path)
 
 
-def csv_grid_config(tmp_path, opt_c="[sgd, scaf]", opt_s="[sgd, adam]", seeds="[0, 1]"):
+ALL_OPT_C = "[sgd, prox, scaf, nova]"
+ALL_OPT_S = "[sgd, adam, adagrad, yogi]"
+
+
+def csv_grid_config(
+    tmp_path, opt_c="[sgd, scaf]", opt_s="[sgd, adam]", seeds="[0, 1]", local_epochs=1
+):
+    """6 clients on ``write_blobs_csv``'s 90 rows, 3 sampled per round, 4 rounds."""
     csv_path = tmp_path / "blobs.csv"
     if not csv_path.exists():
         write_blobs_csv(csv_path, seed=0)
     return write_config(
         tmp_path,
         "num_clients: 6\nsample_ratio: 0.5\nrounds: 4\neval_every: 2\n"
+        f"client:\n  local_epochs: {local_epochs}\n"
         f"data:\n  source: csv\n  path: {csv_path}\n"
         f"grid:\n  opt_c: {opt_c}\n  opt_s: {opt_s}\n  seeds: {seeds}\n",
     )
 
 
 def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
-    spec = parse_config(csv_grid_config(tmp_path))
-    run_grid(spec, out_dir=tmp_path / "grid", include_timing=False)
-    assert builds == [0, 1]  # 8 cells, 2 seeds
+    spec = parse_config(csv_grid_config(tmp_path, ALL_OPT_C, ALL_OPT_S, local_epochs=2))
+    memos = []  # (seed, the open memo, its size) after each cell
+
+    def progress(cell):
+        memo = data_mod._shared.get()
+        memos.append((cell.seed, memo, len(memo)))
+
+    result = run_grid(spec, out_dir=tmp_path / "grid", include_timing=False, progress=progress)
+    assert builds == [0, 1]  # 32 cells, 2 seeds
+    assert [(c.opt_c, c.opt_s, c.seed) for c in result.cells] == spec.cells()
+    # One memo per seed, each seed's cells run together, and a memo holds
+    # one seed's data, 4 samples, 12 client seeds and 24 batch orders.
+    assert [seed for seed, _, _ in memos] == [0] * 16 + [1] * 16
+    assert memos[0][1] is not memos[16][1]
+    for seed, memo, size in memos:
+        assert memo is memos[16 * seed][1] and size == 1 + 4 + 12 + 24
     for opt_c, opt_s, seed in spec.cells():
         name = f"{algorithm_name(opt_c, opt_s)}_seed{seed}"
         alone = tmp_path / "alone" / name
         run_experiment(spec.cell_config(opt_c, opt_s, seed), out_dir=alone, include_timing=False)
         for file in ("metrics.csv", "model_final.bin", "model_best.bin"):
             assert (tmp_path / "grid" / name / file).read_bytes() == (alone / file).read_bytes()
-    assert len(builds) == 2 + 8  # a run after the sweep builds its own data
+    assert len(builds) == 2 + 32  # a run after the sweep builds its own data
+
+
+def test_grid_derives_each_seeds_schedule_once(tmp_path, derivations):
+    spec = parse_config(csv_grid_config(tmp_path, ALL_OPT_C, ALL_OPT_S, "[0]", local_epochs=2))
+    rounds, sampled, num_clients = 4, 3, 6
+    once = {
+        "client_seed": rounds * sampled,
+        "batch_order": rounds * sampled * 2,
+        "sample_clients": rounds,
+        "client_shard": num_clients,
+    }
+    result = run_grid(spec)
+    assert len(result.cells) == 16 and not result.any_diverged
+    assert derivations == once  # not 16 times each
+    # A run after the sweep derives everything itself, to the same bits.
+    derivations.clear()
+    alone = run_experiment(spec.cell_config("nova", "yogi", 0))
+    assert derivations == once
+    assert alone.final_state.w.same_bits(result.cells[-1].result.final_state.w)
+    # Pool threads see no memo: each cell derives its client seeds and
+    # batch orders there, and still gives the serial bits.
+    derivations.clear()
+    threaded = run_grid(spec, threads=2)
+    per_cell = ("client_seed", "batch_order")
+    assert derivations == {key: 16 * n if key in per_cell else n for key, n in once.items()}
+    for serial, pooled in zip(result.cells, threaded.cells):
+        assert pooled.result.final_state.w.same_bits(serial.result.final_state.w)
 
 
 def test_grid_rereads_a_rewritten_csv(tmp_path):

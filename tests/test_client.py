@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -16,6 +18,7 @@ from fedsim.client import (
 from fedsim.data import epoch_batches
 from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
 from fedsim.params import ParamVector
+from fedsim.server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
 
 SPEC = ModelSpec("logistic", 4, 3)
 MLP_RELU = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="relu")
@@ -196,10 +199,32 @@ def test_returned_vectors_are_read_only_and_not_aliased():
     for vec in returned:
         assert not vec.values.flags.writeable
     # A later call must not write through any buffer of the first one.
-    local_train(SPEC, w0, make_shard(n=23, seed=4), cfg, 2, 12, global_c=c_g, local_c=new_c)
+    second, _ = local_train(
+        SPEC, w0, make_shard(n=23, seed=4), cfg, 2, 12, global_c=c_g, local_c=new_c
+    )
     for vec, bits in zip(returned, kept):
         npt.assert_array_equal(vec.values, bits)
     npt.assert_array_equal(w0.values, w0_bits)
+
+    # Nor may option II's control variate or the server's outputs share a
+    # buffer with what they were made from.
+    updates = [update, second]
+    nova = [replace(u, coeff_norm=float(u.step_count)) for u in updates]
+    state = replace(ServerState.initial(w0), m=c_g, v=ParamVector(np.abs(c_l.values)))
+    served = [aggregate(updates), aggregate(nova), aggregate_control(updates)]
+    w1 = ParamVector(w0.values + update.delta.values)
+    served.append(update_control_variate("II", SPEC, shard, w0, w1, c_g, c_l, 3, cfg.lr))
+    for opt_s in ("sgd", "adam", "adagrad", "yogi"):
+        new = server_step(state, served[0], ServerConfig(opt_s=opt_s))
+        served += [new.w, new.m, new.v]
+    inputs = [
+        w0, w1, c_g, c_l, new_c, state.m, state.v, *served[:3],
+        *(vec for u in updates for vec in (u.delta, u.delta_control)),
+    ]
+    for vec in served:
+        assert not vec.values.flags.writeable
+        for other in inputs:
+            assert vec is other or not np.shares_memory(vec.values, other.values)
 
 
 def test_scaf_matches_replay_and_option_two_identity():

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import csv
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim import data as data_mod
 from fedsim.data import (
@@ -378,9 +382,84 @@ def float_parse(text: str) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_load_csv_parses_like_float(tmp_path, text):
     want_x, want_y = float_parse(text)
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    fast = data_mod._convert_rows(rows, len(rows[0]) - 1)
-    assert fast is not None  # the vectorized conversion, not the row loop
-    for ds in (fast, load_csv_dataset(write_csv(tmp_path / "d.csv", text))):
-        assert ds.features.tobytes() == want_x.tobytes()
-        npt.assert_array_equal(ds.labels, want_y)
+    ds = load_csv_dataset(write_csv(tmp_path / "d.csv", text))
+    assert ds.features.tobytes() == want_x.tobytes()
+    npt.assert_array_equal(ds.labels, want_y)
+
+
+# name -> (file text, load_csv_dataset keywords, (features, labels) or the
+# error after "<path>: ").  Each entry is what the csv.reader row loop
+# gives; texts numpy's parser refuses must fall back to it.
+CSV_PARITY = {
+    "quoted": ('"1.5",2,0\n3,"4",1\n', {}, ([[1.5, 2.0], [3.0, 4.0]], [0, 1])),
+    "underscore": ("1_000,2,0\n3,4,1\n", {}, ([[1000.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "ragged": ("1,2,0\n3,1\n", {}, "row 2 has 2 columns, expected 3"),
+    "whitespace-line": ("1,2,0\n   \n3,4,1\n", {}, "row 2 has 1 columns, expected 3"),
+    "hash-line": ("1,2,0\n# note\n3,4,1\n", {}, "row 2 has 1 columns, expected 3"),
+    "bom": ("\ufeff1,2,0\n3,4,1\n", {}, "row 1, column 1: '\\ufeff1' is not numeric"),
+    "trailing-comma": ("1,2,0,\n3,4,1,\n", {}, "row 1, column 4: '' is not numeric"),
+    "arabic-indic": ("١,2,0\n3,٤.5,1\n", {}, ([[1.0, 2.0], [3.0, 4.5]], [0, 1])),
+    "crlf": ("1,2,0\r\n3,4,1\r\n", {}, ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "cr": ("1,2,0\r3,4,1\r", {}, ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "trailing-blank-lines": ("1,2,0\n3,4,1\n\n\n", {}, ([[1.0, 2.0], [3.0, 4.0]], [0, 1])),
+    "empty": ("", {}, "file is empty"),
+    "blank-lines-only": ("\n\n", {}, "file is empty"),
+    "header-only": ("a,b,y\n\n", {"has_header": True}, "no data rows after header"),
+    "header-by-name": (
+        "a,y,b\n1,0,2\n3,1,4\n",
+        {"label_col": "y", "has_header": True},
+        ([[1.0, 2.0], [3.0, 4.0]], [0, 1]),
+    ),
+    "blank-lines-before-header": (
+        "\n\na,y\n1,0\n2,1\n", {"label_col": "y", "has_header": True}, ([[1.0], [2.0]], [0, 1])
+    ),
+    "numeric-header": (
+        "\n7,8,1\n1,2,0\n3,4,1\n", {"has_header": True}, ([[1.0, 2.0], [3.0, 4.0]], [0, 1])
+    ),
+    "label-past-rows": (
+        "1,0\n2,1\n3,5\n", {}, "labels must cover 0..5; missing classes [2, 3, 4] (3 missing in all)"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", CSV_PARITY)
+def test_load_csv_gives_the_row_readers_result(tmp_path, name):
+    text, kwargs, want = CSV_PARITY[name]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as err:
+            load_csv_dataset(str(path), **kwargs)
+        assert str(err.value) == f"{path}: {want}"
+        return
+    ds = load_csv_dataset(str(path), **kwargs)
+    feats = np.array(want[0], dtype=np.float64)
+    assert ds.features.shape == feats.shape and ds.features.tobytes() == feats.tobytes()
+    npt.assert_array_equal(ds.labels, want[1])
+
+
+# repr, and two with more digits than a double holds (rounding to nearest).
+FORMATS = [repr, "{:.20e}".format, "{:.40g}".format]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30),
+    st.sampled_from(FORMATS),
+)
+def test_load_csv_parses_doubles_to_floats_bits(values, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("".join(f"{fmt(x)},{i % 2}\n" for i, x in enumerate(values)))
+        # numpy's parser, not the row loop, must read it: the loader calls
+        # csv.reader once to probe the header and width, and again only
+        # for the row loop.
+        reader = data_mod.csv.reader
+        calls = []
+        with mock.patch.object(
+            data_mod.csv, "reader", lambda fh: calls.append(1) or reader(fh)
+        ):
+            ds = load_csv_dataset(str(path))
+        assert len(calls) == 1  # the header and width probe
+    want = np.array([[float(fmt(x))] for x in values], dtype=np.float64)
+    assert ds.features.tobytes() == want.tobytes()

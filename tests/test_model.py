@@ -201,6 +201,19 @@ def test_batch_validation():
         Batch(np.zeros(4), np.array([0]))
 
 
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP_RELU], ids=["logistic", "mlp1"])
+def test_label_past_the_classes_is_rejected(spec):
+    params = init_params(spec, 0)
+    batch = random_batch(spec, 4)
+    labels = batch.labels.copy()
+    labels[5] = spec.num_classes
+    bad = Batch(batch.features, labels)
+    message = f"label {spec.num_classes} out of range for {spec.num_classes} classes"
+    for fn in (loss_and_grad, mean_loss, evaluate):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fn(spec, params, bad)
+
+
 def test_activations_differ():
     params = init_params(MLP_RELU, 11)
     batch = random_batch(MLP_RELU, 12)

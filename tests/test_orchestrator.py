@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from fedsim import client as client_mod
+from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import ClientConfig
 from fedsim.data import gen_synthetic, split_train_test
@@ -244,10 +246,18 @@ def test_num_clients_exceeding_samples_raises():
 
 
 def test_prepare_data_arrays_are_read_only():
-    train, test, part = prepare_data(tiny_config())
-    for arr in (train.features, train.labels, test.features, test.labels, part.counts):
+    data = prepare_data(tiny_config())
+    train, test, part, shard = data.train, data.test_batch, data.partition, data.shards[0]
+    for arr in (
+        train.features, train.labels, test.features, test.labels, part.counts,
+        shard.features, shard.labels,
+    ):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+    assert len(data.shards) == part.num_clients
+    for cut, idx in zip(data.shards, part.assignment):
+        assert cut.features.tobytes() == train.features[idx].tobytes()
+        npt.assert_array_equal(cut.labels, train.labels[idx])
 
 
 def test_shared_data_builds_each_input_once_within_its_block(builds):
@@ -276,6 +286,29 @@ def test_shared_data_builds_each_input_once_within_its_block(builds):
             raise RuntimeError
     prepare_data(cfg)
     assert len(builds) == 9  # no memo survives a block, even one that raised
+
+
+def test_shared_values_are_read_only_and_named_by_their_whole_input():
+    cfg = tiny_config(client=ClientConfig(opt_c="scaf", local_epochs=2, batch_size=8))
+    with shared_data():
+        shared = run_experiment(cfg)
+        memo = data_mod._shared.get()
+    assert {key[0] for key in memo} == {"data", "sample_clients", "spawn_seed", "batch_order"}
+    for key, value in memo.items():
+        if isinstance(value, np.ndarray):  # a batch order: (seed, epoch, shard size)
+            assert key[0] == "batch_order" and not value.flags.writeable
+            assert sorted(value.tolist()) == list(range(key[3]))
+        elif isinstance(value, tuple):  # a round's sampled ids
+            assert key[0] == "sample_clients" and all(type(i) is int for i in value)
+        elif isinstance(value, int):
+            assert key[0] == "spawn_seed"
+        else:
+            assert key[0] == "data"
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                value.shards = ()
+    alone = run_experiment(cfg)
+    assert data_mod._shared.get() is None
+    assert alone.final_state.w.same_bits(shared.final_state.w)
 
 
 def test_payload_accounting_scaf_doubles_vectors():
