@@ -7,13 +7,30 @@ in seconds without the full test suite.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .client import ClientConfig, ClientShard, ClientUpdate, accum_coeff_norm, local_train
+from .client import (
+    CLIENT_OPTIMIZERS,
+    ClientConfig,
+    ClientShard,
+    ClientUpdate,
+    accum_coeff_norm,
+    local_train,
+    train_cohort,
+)
 from .data import dirichlet_partition, gen_synthetic
 from .model import Batch, ModelSpec, finite_diff_grad, init_params, loss_and_grad
-from .orchestrator import DataConfig, ExperimentConfig, run_experiment
+from .orchestrator import (
+    DataConfig,
+    ExperimentConfig,
+    FederatedRun,
+    run_experiment,
+    sample_clients,
+)
 from .params import ParamVector
+from .rng import spawn_seed
 from .server import ServerConfig, ServerState, aggregate, server_step
 
 
@@ -123,6 +140,40 @@ def check_determinism() -> str:
     return "rerun and 4-thread run are byte-identical"
 
 
+def _same_result(got, want) -> bool:
+    """Two (ClientUpdate, new control variate) results agree bit for bit."""
+    (update, new_c), (ref, ref_c) = got, want
+    vectors = ((update.delta, ref.delta), (update.delta_control, ref.delta_control), (new_c, ref_c))
+    return (
+        all(a is b or (a is not None and b is not None and a.same_bits(b)) for a, b in vectors)
+        and (update.step_count, update.coeff_norm) == (ref.step_count, ref.coeff_norm)
+        and np.float64(update.train_loss).tobytes() == np.float64(ref.train_loss).tobytes()
+    )
+
+
+def check_cohort() -> str:
+    """Clients trained side by side in one cohort match each one trained
+    alone, bit for bit; stacking must not change a bit on this numpy/BLAS."""
+    base = _tiny_config()
+    ids = sample_clients(base.num_clients, base.sample_ratio, 1, base.seed)
+    seeds = [spawn_seed(base.seed, 1, cid) for cid in ids]
+    rng = np.random.default_rng(4)
+    for opt_c in CLIENT_OPTIMIZERS:
+        cfg = replace(base, client=replace(base.client, opt_c=opt_c, local_epochs=2))
+        run = FederatedRun(cfg)
+        shards = [run.shards[cid] for cid in ids]
+        global_c, local_cs = None, [None] * len(ids)
+        if opt_c == "scaf":
+            global_c, *local_cs = (
+                ParamVector(0.01 * rng.normal(size=run.spec.param_count)) for _ in range(len(ids) + 1)
+            )
+        cohort = train_cohort(run.spec, run.state.w, shards, cfg.client, 1, seeds, global_c, local_cs)
+        for cid, got, shard, seed, local_c in zip(ids, cohort, shards, seeds, local_cs):
+            alone = local_train(run.spec, run.state.w, shard, cfg.client, 1, seed, global_c, local_c)
+            _require(_same_result(got, alone), f"{opt_c}: client {cid} differs in a cohort from alone")
+    return f"{len(ids)} clients in a cohort match each alone for {', '.join(CLIENT_OPTIMIZERS)}"
+
+
 def check_partition() -> str:
     """Dirichlet partition is a disjoint cover with no empty client."""
     ds = gen_synthetic(num_classes=4, dim=3, samples_per_class=30, spread=1.0, seed=5)
@@ -154,6 +205,7 @@ CHECKS = (
     ("aggregation", check_aggregation),
     ("prox-zero", check_prox_zero_is_plain),
     ("determinism", check_determinism),
+    ("cohort", check_cohort),
     ("partition", check_partition),
 )
 

@@ -114,18 +114,20 @@ class Batch:
         return int(self.features.shape[0])
 
 
-def _unpack(spec: ModelSpec, values: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of (W, b) per layer; no copies."""
+def _unpack(spec: ModelSpec, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Views of (W, b) per layer of parameter rows (C, P): W is
+    (C, fan_in, fan_out) and b is (C, fan_out); no copies."""
+    count = rows.shape[0]
     layers = []
     off = 0
     for fan_in, fan_out in spec.layer_shapes:
-        w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = rows[:, off : off + fan_in * fan_out].reshape(count, fan_in, fan_out)
         off += fan_in * fan_out
-        b = values[off : off + fan_out]
+        b = rows[:, off : off + fan_out]
         off += fan_out
         layers.append((w, b))
-    if off != values.shape[0]:
-        raise ValueError(f"parameter vector has length {values.shape[0]}, expected {off}")
+    if off != rows.shape[1]:
+        raise ValueError(f"parameter vector has length {rows.shape[1]}, expected {off}")
     return layers
 
 
@@ -139,77 +141,114 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(parts))
 
 
-def _forward(spec: ModelSpec, values: np.ndarray, feats: np.ndarray):
-    """Return (logits, caches-needed-for-backprop)."""
-    layers = _unpack(spec, values)
+def _forward(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray):
+    """Return (logits (C, n, K), caches-needed-for-backprop)."""
+    layers = _unpack(spec, rows)
     if spec.kind == "logistic":
         w, b = layers[0]
-        return feats @ w + b, None
+        return feats @ w + b[:, None, :], None
     (w1, b1), (w2, b2) = layers
-    pre = feats @ w1 + b1
+    pre = feats @ w1 + b1[:, None, :]
     hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
-    return hidden @ w2 + b2, (pre, hidden, w2)
+    return hidden @ w2 + b2[:, None, :], (pre, hidden, w2)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax of each row of 2-D logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _cross_entropy(spec: ModelSpec, params: ParamVector, batch: Batch):
-    """Forward pass shared by every loss: (mean cross-entropy, logits, log-probs, cache)."""
-    if batch.features.shape[1] != spec.input_dim:
+def _cross_entropy(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, labels: np.ndarray):
+    """Forward pass shared by every loss over parameter rows (C, P) and
+    batches (C, n, d): (mean cross-entropy per row (C,), logits (C, n, K),
+    log-probs (C*n, K), each sample's (index, label) pair into them,
+    cache).  A row's loss may be NaN or Inf."""
+    if feats.shape[2] != spec.input_dim:
         raise ValueError(
-            f"feature dim {batch.features.shape[1]} does not match input_dim {spec.input_dim}"
+            f"feature dim {feats.shape[2]} does not match input_dim {spec.input_dim}"
         )
-    logits, cache = _forward(spec, params.values, batch.features)
-    logp = _log_softmax(logits)
-    n = len(batch)
+    logits, cache = _forward(spec, rows, feats)
+    count, n = labels.shape
+    # The samples of all rows one after another, as 2-D (C*n, K) arrays.
+    logp = _log_softmax(logits.reshape(count * n, -1))
+    picks = (np.arange(count * n), labels.ravel())
     try:
         # Labels are non-negative (validate_xy), so only one too large fails.
-        picked = logp[np.arange(n), batch.labels]
+        picked = logp[picks]
     except IndexError:
         raise ValueError(
-            f"label {int(batch.labels.max())} out of range for {spec.num_classes} classes"
+            f"label {int(labels.max())} out of range for {spec.num_classes} classes"
         ) from None
     # np.mean's own float64 arithmetic, without its Python-level overhead.
-    loss = -(picked.sum() / n)
+    losses = -(picked.reshape(count, n).sum(axis=1) / n)
+    return losses, logits, logp, picks, cache
+
+
+def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache) -> np.ndarray:
+    """Gradient rows (C, P) of the per-row mean cross-entropy."""
+    count, n, _ = feats.shape
+    dlogits = np.exp(logp)
+    dlogits[picks] -= 1.0
+    dlogits /= n
+    dlogits = dlogits.reshape(count, n, -1)
+    grad = np.empty((count, spec.param_count))
+    # Each layer's gradient is written into its slots of the rows, in
+    # the layout of _unpack.
+    (dw1, db1), *rest = _unpack(spec, grad)
+    if spec.kind == "logistic":
+        np.matmul(feats.transpose(0, 2, 1), dlogits, out=dw1)
+        dlogits.sum(axis=1, out=db1)
+        return grad
+    pre, hidden, w2 = cache
+    ((dw2, db2),) = rest
+    np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
+    dlogits.sum(axis=1, out=db2)
+    dhidden = dlogits @ w2.transpose(0, 2, 1)
+    if spec.activation == "relu":
+        dpre = dhidden * (pre > 0.0)
+    else:
+        dpre = dhidden * (1.0 - hidden**2)
+    np.matmul(feats.transpose(0, 2, 1), dpre, out=dw1)
+    dpre.sum(axis=1, out=db1)
+    return grad
+
+
+def loss_and_grad_rows(
+    spec: ModelSpec, rows: np.ndarray, features: np.ndarray, labels: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy and its gradient for C stacked (params, batch) pairs.
+
+    ``rows`` is (C, P), ``features`` (C, n, d) and ``labels`` (C, n), all
+    trusted.  Returns losses (C,) and gradient rows (C, P); row c holds
+    the bits ``loss_and_grad`` gives for row c alone.  Nothing is checked
+    finite: the caller decides per row.
+    """
+    losses, _, logp, picks, cache = _cross_entropy(spec, rows, features, labels)
+    return losses, _backward(spec, features, logp, picks, cache)
+
+
+def _finite(loss: np.floating) -> float:
     if not np.isfinite(loss):
         raise NonFiniteError("loss is NaN or Inf")
-    return float(loss), logits, logp, cache
+    return float(loss)
 
 
 def mean_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
     """Forward-only mean cross-entropy (used by the finite-difference oracle)."""
-    return _cross_entropy(spec, params, batch)[0]
+    losses = _cross_entropy(spec, params.values[None], batch.features[None], batch.labels[None])[0]
+    return _finite(losses[0])
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
-    """Mean cross-entropy and its exact gradient as a flat vector."""
-    loss, _, logp, cache = _cross_entropy(spec, params, batch)
-    feats, labs = batch.features, batch.labels
-    n = len(batch)
-    dlogits = np.exp(logp)
-    dlogits[np.arange(n), labs] -= 1.0
-    dlogits /= n
-
-    if spec.kind == "logistic":
-        dw = feats.T @ dlogits
-        db = dlogits.sum(axis=0)
-        grad = np.concatenate([dw.ravel(), db])
-    else:
-        pre, hidden, w2 = cache
-        dw2 = hidden.T @ dlogits
-        db2 = dlogits.sum(axis=0)
-        dhidden = dlogits @ w2.T
-        if spec.activation == "relu":
-            dpre = dhidden * (pre > 0.0)
-        else:
-            dpre = dhidden * (1.0 - hidden**2)
-        dw1 = feats.T @ dpre
-        db1 = dpre.sum(axis=0)
-        grad = np.concatenate([dw1.ravel(), db1, dw2.ravel(), db2])
-    return loss, ParamVector._own(grad)
+    """Mean cross-entropy and its exact gradient as a flat vector: the
+    one-row case of ``loss_and_grad_rows``."""
+    feats = batch.features[None]
+    losses, _, logp, picks, cache = _cross_entropy(
+        spec, params.values[None], feats, batch.labels[None]
+    )
+    loss = _finite(losses[0])
+    return loss, ParamVector._own(_backward(spec, feats, logp, picks, cache)[0])
 
 
 def finite_diff_grad(
@@ -234,7 +273,10 @@ def finite_diff_grad(
 
 def evaluate(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
-    loss, logits, _, _ = _cross_entropy(spec, params, batch)
-    preds = logits.argmax(axis=1)
+    losses, logits, _, _, _ = _cross_entropy(
+        spec, params.values[None], batch.features[None], batch.labels[None]
+    )
+    loss = _finite(losses[0])
+    preds = logits[0].argmax(axis=1)
     acc = float((preds == batch.labels).mean())
     return loss, acc

@@ -8,7 +8,10 @@ train locally, aggregate deltas, and step the server optimizer.
 Clients are pure functions of (round-start state, shard, config, derived
 seed), and every random stream is keyed by purpose tags, so a run is a
 pure function of its config: rerunning, or distributing clients over a
-thread pool, reproduces results bit for bit.
+thread pool, reproduces results bit for bit.  A round trains its sampled
+clients as cohorts (``client.train_cohort``), cut to the cohort size cap;
+with a thread pool, each thread trains a contiguous chunk of the round's
+clients as its own cohort.
 """
 from __future__ import annotations
 
@@ -18,11 +21,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .client import ClientConfig, ClientShard, ClientUpdate, DivergenceError, local_train
+# local_train stays importable here: the traced benchmark wraps
+# fedsim.orchestrator.local_train.
+from .client import (  # noqa: F401
+    ClientConfig,
+    ClientShard,
+    ClientUpdate,
+    DivergenceError,
+    cohort_size,
+    local_train,
+    train_cohort,
+)
 from .data import (
     Dataset,
     Partition,
@@ -316,18 +329,24 @@ class FederatedRun:
             up += 8  # coefficient norm
         return num_selected * (down + up)
 
-    def _train_one(self, round_idx: int, cid: int) -> tuple[ClientUpdate, ParamVector | None]:
-        key = (self.cfg.seed, TAG_CLIENT, round_idx, cid)
-        scaf = self.cfg.opt_c == "scaf"
-        return local_train(
+    def _train_cohort(
+        self, round_idx: int, ids: Sequence[int]
+    ) -> list[tuple[ClientUpdate, ParamVector | None]]:
+        cfg = self.cfg
+        seeds = []
+        for cid in ids:
+            key = (cfg.seed, TAG_CLIENT, round_idx, cid)
+            seeds.append(_memo(("spawn_seed", *key), lambda: spawn_seed(*key)))
+        scaf = cfg.opt_c == "scaf"
+        return train_cohort(
             self.spec,
             self.state.w,
-            self.shards[cid],
-            self.cfg.client,
+            [self.shards[cid] for cid in ids],
+            cfg.client,
             round_idx,
-            _memo(("spawn_seed", *key), lambda: spawn_seed(*key)),
+            seeds,
             global_c=self.state.c if scaf else None,
-            local_c=self.controls[cid] if scaf else None,
+            local_cs=[self.controls[cid] for cid in ids] if scaf else None,
         )
 
     def run_round(self, round_idx: int) -> RoundMetrics:
@@ -336,11 +355,15 @@ class FederatedRun:
         cfg = self.cfg
         key = (cfg.num_clients, cfg.sample_ratio, round_idx, self._sampling_seed)
         ids = _memo(("sample_clients", *key), lambda: tuple(sample_clients(*key)))
-        if self.threads > 1 and len(ids) > 1:
+        # One cohort per pool thread, each cut to the cohort size cap.
+        size = min(cohort_size(self.spec.param_count), -(-len(ids) // self.threads))
+        cohorts = [ids[i : i + size] for i in range(0, len(ids), size)]
+        if self.threads > 1 and len(cohorts) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                results = list(pool.map(lambda cid: self._train_one(round_idx, cid), ids))
+                trained = list(pool.map(lambda part: self._train_cohort(round_idx, part), cohorts))
         else:
-            results = [self._train_one(round_idx, cid) for cid in ids]
+            trained = [self._train_cohort(round_idx, part) for part in cohorts]
+        results = [result for part in trained for result in part]
         updates = [upd for upd, _ in results]
 
         try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import fedsim
+from fedsim import check as check_mod
 from fedsim import data as data_mod
 from fedsim.cli import GridResult, emit_report, main, run_grid
 from fedsim.config import parse_config
@@ -383,6 +385,24 @@ def test_check_verb(capsys):
     printed = capsys.readouterr().out
     assert "ok   gradients" in printed
     assert "FAIL" not in printed
+
+
+def test_check_cohort_arm_fails_when_stacking_changes_a_bit(monkeypatch, capsys):
+    assert ("cohort", check_mod.check_cohort) in check_mod.CHECKS
+    check_mod.check_cohort()
+    real = check_mod.train_cohort
+
+    def one_bit_off(*args, **kwargs):
+        results = real(*args, **kwargs)
+        update, new_c = results[-1]
+        values = update.delta.values.copy()
+        values[0] = np.nextafter(values[0], np.inf)
+        results[-1] = (dataclasses.replace(update, delta=fedsim.ParamVector(values)), new_c)
+        return results
+
+    monkeypatch.setattr(check_mod, "train_cohort", one_bit_off)
+    assert main(["check"]) == 1
+    assert "FAIL cohort: sgd: client" in capsys.readouterr().out
 
 
 def test_python_dash_m_fedsim_runs_check():

@@ -13,6 +13,7 @@ from fedsim.client import (
     DivergenceError,
     accum_coeff_norm,
     local_train,
+    train_cohort,
     update_control_variate,
 )
 from fedsim.data import epoch_batches
@@ -395,3 +396,99 @@ def test_divergence_error_carries_location():
     assert err.client_id == 0
     assert err.step is not None and err.step >= 1
     assert "round 7" in str(err) and "client 0" in str(err)
+
+
+# ------------------------------------------------------------------ cohorts
+
+# With batch_size 4: full batches of 4 and partial last batches of 1, 1,
+# 2 and 3 rows, so a step's groups hold runs of rows and scattered rows.
+COHORT_SIZES = (13, 4, 8, 3, 13, 1, 20, 6, 9)
+
+
+def assert_same_result(got, want):
+    (update, new_c), (ref, ref_c) = got, want
+    assert update.client_id == ref.client_id
+    assert update.delta.same_bits(ref.delta)
+    assert (update.num_samples, update.step_count) == (ref.num_samples, ref.step_count)
+    assert np.float64(update.train_loss).tobytes() == np.float64(ref.train_loss).tobytes()
+    assert update.coeff_norm == ref.coeff_norm
+    for vec, ref_vec in ((update.delta_control, ref.delta_control), (new_c, ref_c)):
+        assert (vec is None) == (ref_vec is None)
+        assert vec is None or vec.same_bits(ref_vec)
+
+
+def _cohort_cases():
+    for name, spec in (("logistic", SPEC), ("relu", MLP_RELU)):
+        for epochs in (1, 2):
+            for opt_c in ("sgd", "prox", "nova"):
+                yield pytest.param(spec, opt_c, epochs, "I", id=f"{name}-{opt_c}-e{epochs}")
+            for option in ("I", "II"):
+                yield pytest.param(spec, "scaf", epochs, option, id=f"{name}-scaf{option}-e{epochs}")
+
+
+@pytest.mark.parametrize("spec,opt_c,epochs,option", list(_cohort_cases()))
+def test_cohort_matches_each_client_alone(spec, opt_c, epochs, option):
+    shards = [make_shard(cid, n, seed=cid, spec=spec) for cid, n in enumerate(COHORT_SIZES)]
+    seeds = [40 + cid for cid in range(len(shards))]
+    w0 = init_params(spec, 3)
+    cfg = ClientConfig(opt_c=opt_c, local_epochs=epochs, batch_size=4, lr=0.05, control_option=option)
+    controls = {}
+    local_cs = [None] * len(shards)
+    if opt_c == "scaf":
+        rng = np.random.default_rng(5)
+        local_cs = [ParamVector(0.1 * rng.normal(size=len(w0))) for _ in shards]
+        controls = dict(global_c=ParamVector(0.1 * rng.normal(size=len(w0))), local_cs=local_cs)
+    cohort = train_cohort(spec, w0, shards, cfg, 2, seeds, **controls)
+    assert len(cohort) == len(shards)
+    for shard, seed, local_c, got in zip(shards, seeds, local_cs, cohort):
+        alone = local_train(
+            spec, w0, shard, cfg, 2, seed, global_c=controls.get("global_c"), local_c=local_c
+        )
+        assert_same_result(got, alone)
+
+
+def _diverging_shard(cid, n, huge_rows):
+    rng = np.random.default_rng(cid)
+    features = rng.normal(size=(n, SPEC.input_dim))
+    features[:huge_rows] *= 1e300
+    return ClientShard(cid, features, rng.integers(0, SPEC.num_classes, size=n))
+
+
+@pytest.mark.parametrize(
+    "lr, order, message",
+    [
+        (0.1, [0, 1, 2], "client 3, local step 2: loss is NaN or Inf"),
+        (1e300, [0, 1, 2], "client 3, local step 2: parameters became NaN or Inf"),
+        (0.1, [1, 0, 2], "client 5, local step 0: loss is NaN or Inf"),
+    ],
+    ids=["loss", "parameters", "reversed"],
+)
+def test_cohort_raises_the_first_clients_divergence(lr, order, message):
+    """Client 5's rows are all huge, so its loss overflows at step 0;
+    client 3 diverges at a later step on its one huge row.  Whichever
+    comes first in cohort order is reported, as when clients trained one
+    after another (the messages are those clients trained alone give)."""
+    values = init_params(SPEC, 0).values.copy()
+    values[0 : SPEC.input_dim * SPEC.num_classes : SPEC.num_classes] = 1e10
+    w0 = ParamVector(values)
+    all_shards = [_diverging_shard(3, 13, 1), _diverging_shard(5, 10, 10), _diverging_shard(8, 6, 0)]
+    shards = [all_shards[i] for i in order]
+    seeds = [2 + i for i in order]
+    cfg = ClientConfig(opt_c="sgd", lr=lr, batch_size=4, local_epochs=2)
+    with pytest.raises(DivergenceError) as exc_info:
+        train_cohort(SPEC, w0, shards, cfg, 3, seeds)
+    assert str(exc_info.value) == f"divergence at round 3, {message}"
+    with pytest.raises(DivergenceError) as alone:
+        for shard, seed in zip(shards, seeds):
+            local_train(SPEC, w0, shard, cfg, 3, seed)
+    assert str(alone.value) == str(exc_info.value)
+
+
+def test_batch_size_past_every_shard_trains_each_shard_as_one_batch():
+    shards = [make_shard(cid, n, seed=cid) for cid, n in enumerate((5, 9, 2))]
+    w0 = init_params(SPEC, 1)
+    huge = train_cohort(SPEC, w0, shards, ClientConfig(batch_size=10**12), 1, [7, 8, 9])
+    for shard, seed, got in zip(shards, (7, 8, 9), huge):
+        exact = ClientConfig(batch_size=shard.num_samples)
+        assert_same_result(got, local_train(SPEC, w0, shard, exact, 1, seed))
+        assert got[0].step_count == 1

@@ -13,6 +13,7 @@ from fedsim.model import (
     finite_diff_grad,
     init_params,
     loss_and_grad,
+    loss_and_grad_rows,
     mean_loss,
 )
 from fedsim.params import ParamVector
@@ -226,3 +227,73 @@ def test_mean_loss_matches_loss_and_grad():
     params = init_params(MLP_TANH, 13)
     batch = random_batch(MLP_TANH, 14)
     assert mean_loss(MLP_TANH, params, batch) == loss_and_grad(MLP_TANH, params, batch)[0]
+
+
+# ------------------------------------------------------------------ stacked rows
+
+
+def reference_loss_and_grad(spec: ModelSpec, values: np.ndarray, feats, labels):
+    """The one-client forward/backward as plain 2-D numpy calls."""
+    layers, off = [], 0
+    for fan_in, fan_out in spec.layer_shapes:
+        w = values[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+        off += fan_in * fan_out
+        layers.append((w, values[off : off + fan_out]))
+        off += fan_out
+    if spec.kind == "logistic":
+        (w, b), = layers
+        logits = feats @ w + b
+    else:
+        (w1, b1), (w2, b2) = layers
+        pre = feats @ w1 + b1
+        hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
+        logits = hidden @ w2 + b2
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    n = feats.shape[0]
+    loss = -(logp[np.arange(n), labels].sum() / n)
+    dlogits = np.exp(logp)
+    dlogits[np.arange(n), labels] -= 1.0
+    dlogits /= n
+    if spec.kind == "logistic":
+        return loss, np.concatenate([(feats.T @ dlogits).ravel(), dlogits.sum(axis=0)])
+    dhidden = dlogits @ w2.T
+    dpre = dhidden * (pre > 0.0) if spec.activation == "relu" else dhidden * (1.0 - hidden**2)
+    return loss, np.concatenate(
+        [(feats.T @ dpre).ravel(), dpre.sum(axis=0), (hidden.T @ dlogits).ravel(), dlogits.sum(axis=0)]
+    )
+
+
+STACK_SPECS = {
+    "logistic-d20": ModelSpec("logistic", 20, 10),
+    "logistic-d30": ModelSpec("logistic", 30, 10),
+    "mlp1-relu": ModelSpec("mlp1", 200, 10, hidden_dim=256, activation="relu"),
+    "mlp1-tanh": ModelSpec("mlp1", 200, 10, hidden_dim=256, activation="tanh"),
+}
+STACK_ROWS = (1, 2, 10, 20)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 31, 32, 33, 127, 128, 257])
+@pytest.mark.parametrize("name", list(STACK_SPECS))
+def test_stacked_rows_match_each_row_alone_bit_for_bit(name, n):
+    """Bit identity of stacking is a property of the numpy/BLAS build;
+    on a build without it, this test fails."""
+    spec = STACK_SPECS[name]
+    rng = np.random.default_rng(n)
+    count = max(STACK_ROWS)
+    rows = np.stack([init_params(spec, s).values for s in range(count)])
+    rows += 0.01 * rng.normal(size=rows.shape)
+    feats = rng.normal(size=(count, n, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=(count, n))
+    alone = []
+    for c in range(count):
+        loss, grad = loss_and_grad(spec, ParamVector(rows[c]), Batch(feats[c], labels[c]))
+        ref_loss, ref_grad = reference_loss_and_grad(spec, rows[c], feats[c], labels[c])
+        assert np.float64(loss).tobytes() == ref_loss.tobytes()
+        assert grad.values.tobytes() == ref_grad.tobytes()
+        alone.append((np.float64(loss).tobytes(), grad.values.tobytes()))
+    for stacked in STACK_ROWS:
+        losses, grads = loss_and_grad_rows(spec, rows[:stacked], feats[:stacked], labels[:stacked])
+        assert losses.shape == (stacked,) and grads.shape == (stacked, spec.param_count)
+        got = [(losses[c].tobytes(), grads[c].tobytes()) for c in range(stacked)]
+        assert got == alone[:stacked], f"{stacked} stacked rows differ from each row alone"

@@ -443,54 +443,40 @@ def test_experiment_config_validation():
 
 
 def test_traced_benchmark_hooks_hold(monkeypatch):
-    """The hooks the traced benchmark wraps: one loss_and_grad per step,
-    reached through ``fedsim.client.loss_and_grad``; one ``_train_one``
-    per selected client; one ``aggregate`` and one ``server_step`` per
-    round, plus one ``aggregate_control`` per scaf round, all reached
-    through ``fedsim.orchestrator``; ``threads`` passed positionally."""
-    grads = []
-    real_loss_and_grad = client_mod.loss_and_grad
-
-    def counting_loss_and_grad(spec, params, batch):
-        grads.append((type(params), type(batch), len(batch), batch.features.shape[0]))
-        return real_loss_and_grad(spec, params, batch)
-
-    trained = []
-    real_train_one = FederatedRun._train_one
-
-    def counting_train_one(self, round_idx, cid):
-        result = real_train_one(self, round_idx, cid)
-        trained.append((round_idx, cid, result[0].step_count))
-        return result
-
-    monkeypatch.setattr(client_mod, "loss_and_grad", counting_loss_and_grad)
-    monkeypatch.setattr(FederatedRun, "_train_one", counting_train_one)
-    result = FederatedRun(tiny_config(), 1).run()
-    assert result.status == "ok"
-    selected = [(rm.round_idx, cid) for rm in result.metrics for cid in rm.selected]
-    assert [(r, cid) for r, cid, _ in trained] == selected
-    assert len(grads) == sum(steps for _, _, steps in trained) > 0
-    for params_type, batch_type, n, rows in grads:
-        assert params_type is ParamVector and batch_type is Batch
-        assert n == rows
-
+    """The hooks the traced benchmark wraps: one ``epoch_batches`` per
+    client epoch, reached through ``fedsim.client``; one
+    ``update_control_variate`` per scaf client, reached the same way;
+    one ``aggregate`` and one ``server_step`` per round, plus one
+    ``aggregate_control`` per scaf round, all reached through
+    ``fedsim.orchestrator``; ``threads`` passed positionally."""
     calls = []
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls.append(name)
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
+    for name in ("epoch_batches", "update_control_variate"):
+        monkeypatch.setattr(client_mod, name, counting(name, getattr(client_mod, name)))
     for name in ("aggregate", "aggregate_control", "server_step"):
         monkeypatch.setattr(orchestrator_mod, name, counting(name, getattr(orchestrator_mod, name)))
     for opt_c in ("sgd", "scaf"):
         calls.clear()
-        cfg = tiny_config(client=ClientConfig(opt_c=opt_c, batch_size=8), rounds=3)
-        assert FederatedRun(cfg, 1).run().status == "ok"
-        per_round = ["aggregate", "aggregate_control"] if opt_c == "scaf" else ["aggregate"]
-        assert calls == (per_round + ["server_step"]) * 3
+        client = ClientConfig(opt_c=opt_c, batch_size=8, local_epochs=2)
+        result = FederatedRun(tiny_config(client=client, rounds=3), 1).run()
+        assert result.status == "ok"
+        scaf = opt_c == "scaf"
+        expected = []
+        for rm in result.metrics:
+            # A cohort draws every client's batches (two epochs each)
+            # before it finishes any client.
+            expected += ["epoch_batches"] * 2 * len(rm.selected)
+            expected += ["update_control_variate"] * len(rm.selected) if scaf else []
+            expected += ["aggregate", "aggregate_control"] if scaf else ["aggregate"]
+            expected += ["server_step"]
+        assert calls == expected
 
 
 def test_metrics_csv_is_written_once_per_eval_round(tmp_path, monkeypatch):
