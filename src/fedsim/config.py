@@ -219,9 +219,6 @@ def _schema(cls) -> dict:
 
 
 _SECTION_KEYS = {name: _schema(cls) for name, cls in _SECTIONS.items()}
-_CLIENT_KEYS = _SECTION_KEYS["client"]
-_SERVER_KEYS = _SECTION_KEYS["server"]
-_DATA_KEYS = _SECTION_KEYS["data"]
 
 _TOP_KEYS = {
     **{key: _cast_token(_TOKENS[key]) for key in _HOISTED},

@@ -265,8 +265,9 @@ def load_csv_dataset(
     ``label_col`` selects the label column by position (negative indexes
     from the right) or by header name (requires ``has_header``).  All
     remaining columns are features.  Labels must be non-negative
-    integers forming a contiguous range 0..K-1; violations are reported
-    with their row number (1-based, counting any header line).
+    integers forming a contiguous range 0..K-1 and features finite;
+    violations are reported with their row number (1-based, counting
+    any header line, not counting blank lines).
     """
     # The first two non-empty rows give the header and the width, and
     # tell an empty file from one numpy would only warn about.
@@ -285,6 +286,8 @@ def load_csv_dataset(
             raise ValueError(f"{path}: no data rows after header")
         first = second
     width = len(first)
+    if header is not None and len(header) != width:
+        raise ValueError(f"{path}: header has {len(header)} columns, rows have {width}")
     if isinstance(label_col, str):
         if header is None:
             raise ValueError("label_col by name requires has_header=True")
@@ -298,7 +301,8 @@ def load_csv_dataset(
 
     # numpy's C parser gives ``float()``'s bits and refuses every cell
     # ``float()`` refuses, and more (quotes, ``1_000``, non-ASCII digits,
-    # blank-only or ragged rows).  Any refusal falls back to ``csv``.
+    # blank-only or ragged rows).  Any refusal falls back to the row loop.
+    offset = 2 if has_header else 1
     try:
         table = np.loadtxt(
             path,
@@ -309,42 +313,41 @@ def load_csv_dataset(
             ndmin=2,
         )
     except ValueError:
-        table = None
-    if table is not None:
-        fast = _table_dataset(table, label_idx)
-        if fast is not None:
-            return fast
-    # numpy refused the text or a label check failed: the row loop parses
-    # what numpy would not, or finds the first bad row and names it.
+        table = _parse_rows(path, width, offset)
+    return _table_dataset(path, table, label_idx, offset)
+
+
+def _parse_rows(path: str, width: int, offset: int) -> np.ndarray:
+    """``float()`` of every cell from row ``offset`` on, naming the first ragged row or bad cell."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row][1 if has_header else 0 :]
-    offset = 2 if has_header else 1
-    feats, labels = [], []
+        rows = [row for row in csv.reader(fh) if row][offset - 1 :]
+    table = np.empty((len(rows), width))
     for r, row in enumerate(rows):
-        line_no = r + offset
         if len(row) != width:
-            raise ValueError(
-                f"{path}: row {line_no} has {len(row)} columns, expected {width}"
-            )
-        vals = []
+            raise ValueError(f"{path}: row {r + offset} has {len(row)} columns, expected {width}")
         for c, cell in enumerate(row):
             try:
-                vals.append(float(cell))
+                table[r, c] = float(cell)
             except ValueError:
                 raise ValueError(
-                    f"{path}: row {line_no}, column {c + 1}: {cell.strip()!r} is not numeric"
+                    f"{path}: row {r + offset}, column {c + 1}: {cell.strip()!r} is not numeric"
                 ) from None
-        lab = vals.pop(label_idx)
-        if not lab.is_integer():  # NaN and +-inf included
-            raise ValueError(f"{path}: row {line_no}: label {lab!r} is not an integer")
-        if lab < 0:
-            raise ValueError(f"{path}: row {line_no}: label {int(lab)} is negative")
-        labels.append(int(lab))
-        feats.append(vals)
+    return table
 
-    # On Python ints: a label >= the row count fails here, before any int64 array.
-    num_classes = max(labels) + 1
-    present = set(labels)
+
+def _table_dataset(path: str, table: np.ndarray, label_idx: int, offset: int) -> Dataset:
+    """The Dataset of a parsed table; table row ``r`` is the file's row ``r + offset``."""
+    lab = table[:, label_idx]
+    integral = np.isfinite(lab) & (lab == np.trunc(lab))
+    bad = np.flatnonzero(~integral | (lab < 0))
+    if bad.size:
+        r = int(bad[0])
+        if not integral[r]:
+            raise ValueError(f"{path}: row {r + offset}: label {float(lab[r])!r} is not an integer")
+        raise ValueError(f"{path}: row {r + offset}: label {int(lab[r])} is negative")
+    # On Python ints: a label past int64 (1e30) must not wrap before it is reported.
+    present = {int(k) for k in np.unique(lab).tolist()}
+    num_classes = max(present) + 1
     if num_classes < 2:
         raise ValueError(f"{path}: needs at least 2 classes, found {num_classes}")
     if len(present) != num_classes:
@@ -354,20 +357,10 @@ def load_csv_dataset(
             f"{path}: labels must cover 0..{num_classes - 1}; missing classes {missing} "
             f"({num_classes - len(present)} missing in all)"
         )
-    labs = np.array(labels, dtype=np.int64)
-    return Dataset(np.array(feats, dtype=np.float64), labs, num_classes)
-
-
-def _table_dataset(table: np.ndarray, label_idx: int) -> Dataset | None:
-    """The Dataset of a parsed table, or None if a label check fails."""
-    lab = table[:, label_idx]
-    # NaN fails the first test, -inf the second, +inf the third.  A label
-    # >= the row count cannot leave 0..K-1 covered; the loop reports it
-    # on Python ints, before any int64 cast.
-    if not ((lab == np.trunc(lab)).all() and lab.min() >= 0 and lab.max() < lab.shape[0]):
-        return None
-    labels = lab.astype(np.int64)
-    counts = np.bincount(labels)
-    if counts.shape[0] < 2 or not counts.all():
-        return None
-    return Dataset(np.delete(table, label_idx, axis=1), labels, counts.shape[0])
+    finite = np.isfinite(table)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0].tolist()
+        raise ValueError(
+            f"{path}: row {r + offset}, column {c + 1}: {float(table[r, c])!r} is not finite"
+        )
+    return Dataset(np.delete(table, label_idx, axis=1), lab.astype(np.int64), num_classes)

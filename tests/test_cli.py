@@ -99,6 +99,22 @@ def test_config_error_exit_code(tmp_path, capsys):
         assert "config error" in captured.err
 
 
+def test_run_on_csv_whose_header_width_differs_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "d.csv"
+    cfg = write_config(
+        tmp_path,
+        "num_clients: 2\nrounds: 1\n"
+        f"data:\n  source: csv\n  path: {csv_path}\n  label_col: y\n  has_header: true\n",
+    )
+    for text, want in (
+        ("a,b,y\n1,0\n2,1\n3,0\n4,1\n", "header has 3 columns, rows have 2"),
+        ("a,y\n1,2,0\n2,3,1\n3,4,0\n4,5,1\n", "header has 2 columns, rows have 3"),
+    ):
+        csv_path.write_text(text)
+        assert main(["run", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {csv_path}: {want}\n"
+
+
 def test_non_finite_config_value_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY + "client:\n  weight_decay: .nan\n")
     assert main(["run", cfg]) == 2

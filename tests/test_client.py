@@ -12,6 +12,7 @@ from fedsim.client import (
     ClientShard,
     DivergenceError,
     accum_coeff_norm,
+    cohort_size,
     local_train,
     train_cohort,
     update_control_variate,
@@ -492,3 +493,10 @@ def test_batch_size_past_every_shard_trains_each_shard_as_one_batch():
         exact = ClientConfig(batch_size=shard.num_samples)
         assert_same_result(got, local_train(SPEC, w0, shard, exact, 1, seed))
         assert got[0].step_count == 1
+
+
+def test_cohort_size_caps_a_cohorts_bytes():
+    # desk's logistic model, sweep-csv's, and mlp-wide's (one per cohort).
+    assert cohort_size(210) == 156
+    assert cohort_size(310) == 105
+    assert cohort_size(54_026) == 1

@@ -161,9 +161,9 @@ FLOAT_KEYS = [
     f"{section}.{key}" if section else key
     for section, keys in (
         ("", config._TOP_KEYS),
-        ("client", config._CLIENT_KEYS),
-        ("server", config._SERVER_KEYS),
-        ("data", config._DATA_KEYS),
+        ("client", config._SECTION_KEYS["client"]),
+        ("server", config._SECTION_KEYS["server"]),
+        ("data", config._SECTION_KEYS["data"]),
     )
     for key, caster in keys.items()
     if caster is config._cast_float

@@ -358,6 +358,64 @@ def test_load_csv_label_col_out_of_range(tmp_path):
         load_csv_dataset(p, label_col=5)
 
 
+def test_load_csv_header_width_must_match_rows(tmp_path):
+    # Wider: a name past the rows' last column.  Narrower: names that
+    # would silently shift onto the wrong columns.
+    for text, want in (
+        ("a,b,y\n1,0\n2,1\n", "header has 3 columns, rows have 2"),
+        ("a,y\n1,2,0\n2,3,1\n", "header has 2 columns, rows have 3"),
+    ):
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError) as err:
+            load_csv_dataset(p, label_col="y", has_header=True)
+        assert str(err.value) == f"{p}: {want}"
+
+
+def test_load_csv_non_finite_feature_names_row_and_column(tmp_path):
+    # The column counts from 1 in the file, the label column included.
+    for text, kwargs, want in (
+        ("1,2,0\n3,inf,1\n", {}, "row 2, column 2: inf is not finite"),
+        ("1,2,0\n3,4,1\n-inf,nan,1\n", {}, "row 3, column 1: -inf is not finite"),
+        ("a,b,y\n1,2,0\nnan,4,1\n", {"has_header": True}, "row 3, column 1: nan is not finite"),
+        ("0,1,2\n1,3,nan\n", {"label_col": 0}, "row 2, column 3: nan is not finite"),
+    ):
+        p = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(ValueError) as err:
+            load_csv_dataset(p, **kwargs)
+        assert str(err.value) == f"{p}: {want}"
+
+
+def test_load_csv_label_fault_parses_the_file_once(tmp_path):
+    """A label fault in a file numpy parses is named from numpy's table."""
+    reader, loadtxt = data_mod.csv.reader, data_mod.np.loadtxt
+    calls = []
+    with mock.patch.object(
+        data_mod.csv, "reader", lambda fh: calls.append("csv") or reader(fh)
+    ), mock.patch.object(
+        data_mod.np, "loadtxt", lambda *a, **k: calls.append("numpy") or loadtxt(*a, **k)
+    ):
+        for text, want in (
+            ("1,0\n2,1.5\n3,1\n", "row 2: label 1.5 is not an integer"),
+            ("1,0\n2,1\n3,-2\n", "row 3: label -2 is negative"),
+            ("1,0\n2,0\n", "needs at least 2 classes, found 1"),
+            ("1,0\n2,2\n", "labels must cover 0..2; missing classes [1] (1 missing in all)"),
+        ):
+            calls.clear()
+            p = write_csv(tmp_path / "d.csv", text)
+            with pytest.raises(ValueError) as err:
+                load_csv_dataset(p)
+            assert str(err.value) == f"{p}: {want}"
+            assert calls == ["csv", "numpy"]  # the probe, then one parse
+
+
+def test_load_csv_parse_fault_is_named_before_a_label_fault(tmp_path):
+    # The label fault is in an earlier row; the malformed cell is named.
+    p = write_csv(tmp_path / "d.csv", "1,1.5\n2,0\nx,1\n")
+    with pytest.raises(ValueError) as err:
+        load_csv_dataset(p)
+    assert str(err.value) == f"{p}: row 3, column 1: 'x' is not numeric"
+
+
 def float_parse(text: str) -> tuple[np.ndarray, np.ndarray]:
     """The reference parse: ``float()`` on every cell, the label last."""
     vals = [[float(c) for c in row] for row in csv.reader(io.StringIO(text)) if row]
@@ -419,6 +477,8 @@ CSV_PARITY = {
     "label-past-rows": (
         "1,0\n2,1\n3,5\n", {}, "labels must cover 0..5; missing classes [2, 3, 4] (3 missing in all)"
     ),
+    "negative-before-fraction": ("1,-1\n2,1.5\n3,1\n", {}, "row 1: label -1 is negative"),
+    "fraction-before-negative": ("1,0.5\n2,-1\n3,1\n", {}, "row 1: label 0.5 is not an integer"),
 }
 
 

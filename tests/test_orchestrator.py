@@ -203,6 +203,32 @@ def test_rerun_and_thread_count_are_bit_identical():
     assert [m.train_loss for m in a.metrics] == [m.train_loss for m in c.metrics]
 
 
+def test_cohorts_cut_by_the_byte_cap_give_the_same_bits(monkeypatch):
+    cfg = tiny_config(
+        client=ClientConfig(opt_c="scaf", batch_size=8),
+        server=ServerConfig(opt_s="adam"),
+        sample_ratio=1.0,
+    )
+    sizes = []
+    train_cohort = orchestrator_mod.train_cohort
+
+    def spy(spec, global_w, shards, *args, **kwargs):
+        sizes.append(len(shards))
+        return train_cohort(spec, global_w, shards, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "train_cohort", spy)
+    whole = run_experiment(cfg)
+    assert sizes == [6] * cfg.rounds
+    sizes.clear()
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 2 * 8 * (4 + 1) * 3)  # 2 rows of P = 15
+    cut = run_experiment(cfg)
+    assert sizes == [2, 2, 2] * cfg.rounds  # serially, in cohorts of 2
+    for name in ("w", "c", "m", "v"):
+        assert getattr(cut.final_state, name).same_bits(getattr(whole.final_state, name))
+    untimed = lambda result: [dataclasses.replace(m, wall_ms=0.0) for m in result.metrics]
+    assert untimed(cut) == untimed(whole)
+
+
 def test_seed_changes_results():
     a = run_experiment(tiny_config(seed=0))
     b = run_experiment(tiny_config(seed=1))
