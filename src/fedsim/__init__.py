@@ -27,7 +27,6 @@ from .data import (
 )
 from .client import (
     ClientConfig,
-    ClientShard,
     ClientUpdate,
     DivergenceError,
     accum_coeff_norm,
@@ -77,7 +76,6 @@ __all__ = [
     "ALGORITHM_NAMES",
     "Batch",
     "ClientConfig",
-    "ClientShard",
     "ClientUpdate",
     "ConfigError",
     "DataConfig",

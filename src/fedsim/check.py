@@ -14,7 +14,6 @@ import numpy as np
 from .client import (
     CLIENT_OPTIMIZERS,
     ClientConfig,
-    ClientShard,
     ClientUpdate,
     accum_coeff_norm,
     local_train,
@@ -43,9 +42,9 @@ def _require(cond: bool, detail: str) -> None:
         raise CheckFailure(detail)
 
 
-def _shard_arrays(spec: ModelSpec, seed: int, n: int):
+def _random_batch(spec: ModelSpec, seed: int, n: int) -> Batch:
     rng = np.random.default_rng(seed)
-    return (
+    return Batch(
         rng.normal(size=(n, spec.input_dim)),
         rng.integers(0, spec.num_classes, size=n).astype(np.int64),
     )
@@ -59,7 +58,7 @@ def check_gradients() -> str:
         ModelSpec("mlp1", 4, 3, hidden_dim=6, activation="tanh"),
     ):
         params = init_params(spec, 7)
-        batch = Batch(*_shard_arrays(spec, seed=11, n=16))
+        batch = _random_batch(spec, seed=11, n=16)
         _, grad = loss_and_grad(spec, params, batch)
         fd = finite_diff_grad(spec, params, batch)
         scale = np.maximum(np.abs(fd.values), 1e-8)
@@ -118,12 +117,12 @@ def check_aggregation() -> str:
 def check_prox_zero_is_plain() -> str:
     """prox with mu=0 reproduces the plain client bit for bit."""
     spec = ModelSpec("logistic", 4, 3)
-    shard = ClientShard(0, *_shard_arrays(spec, seed=3, n=12))
+    shard = _random_batch(spec, seed=3, n=12)
     w = init_params(spec, 1)
     base = dict(local_epochs=2, batch_size=5, lr=0.05, momentum=0.9, weight_decay=1e-4)
-    upd_sgd, _ = local_train(spec, w, shard, ClientConfig(opt_c="sgd", **base), 1, 99)
+    upd_sgd, _ = local_train(spec, w, shard, ClientConfig(opt_c="sgd", **base), 1, 0, 99)
     upd_prox, _ = local_train(
-        spec, w, shard, ClientConfig(opt_c="prox", prox_mu=0.0, **base), 1, 99
+        spec, w, shard, ClientConfig(opt_c="prox", prox_mu=0.0, **base), 1, 0, 99
     )
     _require(upd_sgd.delta.same_bits(upd_prox.delta), "deltas differ")
     return "identical deltas, bit for bit"
@@ -167,9 +166,13 @@ def check_cohort() -> str:
             global_c, *local_cs = (
                 ParamVector(0.01 * rng.normal(size=run.spec.param_count)) for _ in range(len(ids) + 1)
             )
-        cohort = train_cohort(run.spec, run.state.w, shards, cfg.client, 1, seeds, global_c, local_cs)
+        cohort = train_cohort(
+            run.spec, run.state.w, shards, cfg.client, 1, ids, seeds, global_c, local_cs
+        )
         for cid, got, shard, seed, local_c in zip(ids, cohort, shards, seeds, local_cs):
-            alone = local_train(run.spec, run.state.w, shard, cfg.client, 1, seed, global_c, local_c)
+            alone = local_train(
+                run.spec, run.state.w, shard, cfg.client, 1, cid, seed, global_c, local_c
+            )
             _require(_same_result(got, alone), f"{opt_c}: client {cid} differs in a cohort from alone")
     return f"{len(ids)} clients in a cohort match each alone for {', '.join(CLIENT_OPTIMIZERS)}"
 

@@ -1,9 +1,10 @@
 """Client-side local training.
 
+A client's shard is a ``Batch`` of its rows, checked once when it is cut.
 One round of local work is a pure function of (global params, control
-variates, shard, config, round index, seed): E epochs of mini-batch SGD
-with momentum and decoupled weight decay, optionally augmented by one of
-three drift-mitigation mechanisms selected by ``opt_c``:
+variates, shard, client id, config, round index, seed): E epochs of
+mini-batch SGD with momentum and decoupled weight decay, optionally
+augmented by one of three drift-mitigation mechanisms selected by ``opt_c``:
 
   - ``sgd``:  plain local SGD (FedAvg-style client).
   - ``prox``: proximal pull mu * (w_local - w_global) added to each
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _read_only, epoch_batches
-from .model import Batch, ModelSpec, loss_and_grad, loss_and_grad_rows, validate_xy
+from .data import epoch_batches
+from .model import Batch, ModelSpec, loss_and_grad, loss_and_grad_rows
 from .params import NonFiniteError, ParamVector
 
 CLIENT_OPTIMIZERS = ("sgd", "prox", "scaf", "nova")
@@ -106,32 +107,6 @@ class ClientConfig:
 
 
 @dataclass(frozen=True)
-class ClientShard:
-    """One client's local data, fixed for the whole simulation.
-
-    The arrays are validated once, here, by ``validate_xy``; every batch
-    cut from them later is trusted.  They are kept as read-only views, so
-    runs may share a shard, and the caller's own arrays stay writeable.
-    """
-
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        feats, labs = validate_xy(self.features, self.labels)
-        object.__setattr__(self, "features", _read_only(feats))
-        object.__setattr__(self, "labels", _read_only(labs))
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.labels.shape[0])
-
-    def as_batch(self) -> Batch:
-        return Batch._of_rows(self.features, self.labels)
-
-
-@dataclass(frozen=True)
 class ClientUpdate:
     """What a client sends back after local training.
 
@@ -169,7 +144,7 @@ def accum_coeff_norm(momentum: float, steps: int) -> float:
 def update_control_variate(
     option: str,
     spec: ModelSpec,
-    shard: ClientShard,
+    shard: Batch,
     global_w: ParamVector,
     local_w: ParamVector,
     global_c: ParamVector,
@@ -179,15 +154,15 @@ def update_control_variate(
 ) -> ParamVector:
     """New client control variate.
 
-    Option I re-evaluates the full local gradient at the round-start
-    global params (one extra pass, no stale terms).  Option II reuses
-    quantities already computed: c_local - c_global + (w_global -
-    w_local) / (steps * lr).
+    Option I re-evaluates the full gradient over ``shard`` at the
+    round-start global params (one extra pass, no stale terms).  Option
+    II reuses quantities already computed: c_local - c_global +
+    (w_global - w_local) / (steps * lr).
     """
     if option not in CONTROL_OPTIONS:
         raise ValueError(f"control option must be one of {CONTROL_OPTIONS}, got {option!r}")
     if option == "I":
-        _, grad = loss_and_grad(spec, global_w, shard.as_batch())
+        _, grad = loss_and_grad(spec, global_w, shard)
         return grad
     if steps < 1 or not (lr > 0):
         raise ValueError("option II needs steps >= 1 and lr > 0")
@@ -199,21 +174,25 @@ def update_control_variate(
 def local_train(
     spec: ModelSpec,
     global_w: ParamVector,
-    shard: ClientShard,
+    shard: Batch,
     cfg: ClientConfig,
     round_idx: int,
+    client_id: int,
     seed: int,
     global_c: ParamVector | None = None,
     local_c: ParamVector | None = None,
 ) -> tuple[ClientUpdate, ParamVector | None]:
-    """Run one round of local training; returns (update, new control variate).
+    """Run one round of local training for client ``client_id``, whose
+    rows are ``shard``; returns (update, new control variate).
 
     The new control variate is None unless opt_c == "scaf".  Raises
-    DivergenceError as soon as any step yields non-finite parameters.
-    This is ``train_cohort`` for a cohort of one.
+    DivergenceError, naming ``client_id``, as soon as any step yields
+    non-finite parameters.  This is ``train_cohort`` for a cohort of one.
     """
     local_cs = None if local_c is None else [local_c]
-    return train_cohort(spec, global_w, [shard], cfg, round_idx, [seed], global_c, local_cs)[0]
+    return train_cohort(
+        spec, global_w, [shard], cfg, round_idx, [client_id], [seed], global_c, local_cs
+    )[0]
 
 
 def cohort_size(param_count: int) -> int:
@@ -224,19 +203,20 @@ def cohort_size(param_count: int) -> int:
 def train_cohort(
     spec: ModelSpec,
     global_w: ParamVector,
-    shards: Sequence[ClientShard],
+    shards: Sequence[Batch],
     cfg: ClientConfig,
     round_idx: int,
+    ids: Sequence[int],
     seeds: Sequence[int],
     global_c: ParamVector | None = None,
     local_cs: Sequence[ParamVector] | None = None,
 ) -> list[tuple[ClientUpdate, ParamVector | None]]:
     """Run one round of local training for every shard, side by side.
 
-    Entry i is what ``local_train`` returns for shard i, seed i and
-    control variate i alone, bit for bit.  If clients diverge, the
-    DivergenceError raised is that of the first of them in ``shards``
-    order, as if they had trained one after another.
+    Entry i is what ``local_train`` returns for shard i, client id
+    ``ids[i]``, seed i and control variate i alone, bit for bit.  If
+    clients diverge, the DivergenceError raised is that of the first of
+    them in ``shards`` order, as if they had trained one after another.
     """
     scaf = cfg.opt_c == "scaf"
     if scaf and (global_c is None or local_cs is None):
@@ -257,14 +237,14 @@ def train_cohort(
     # them: order[i, t, :n] indexes client i's batch of size n at step t.
     feats = np.concatenate([shard.features for shard in shards])
     labels = np.concatenate([shard.labels for shard in shards])
-    samples = [shard.num_samples for shard in shards]
+    samples = [len(shard) for shard in shards]
     per_epoch = [-(-n // size) for n in samples]
     last_size = [n - (nb - 1) * size for n, nb in zip(samples, per_epoch)]
     steps = [cfg.local_epochs * nb for nb in per_epoch]
     width = min(size, max(samples))
     order = np.empty((count, max(steps), width), dtype=np.int64)
     offset = 0
-    for i, (n, seed) in enumerate(zip(samples, seeds)):
+    for i, (n, seed) in enumerate(zip(samples, seeds, strict=True)):
         indices = np.arange(offset, offset + n)
         nb = per_epoch[i]
         for epoch in range(cfg.local_epochs):
@@ -314,13 +294,13 @@ def train_cohort(
                     for k, i in enumerate(members):
                         if not (np.isfinite(row_losses[k]) and np.isfinite(w[k]).all()):
                             errors[i] = _divergence(
-                                round_idx, shards[i], step, row_losses[k], grad[k]
+                                round_idx, ids[i], step, row_losses[k], grad[k]
                             )
             step += 1
             live = [i for i in live if errors[i] is None and steps[i] > step]
 
         results = []
-        for i, shard in enumerate(shards):
+        for i, (shard, client_id) in enumerate(zip(shards, ids, strict=True)):
             if errors[i] is not None:
                 raise errors[i]
             new_local_c: ParamVector | None = None
@@ -341,9 +321,9 @@ def train_cohort(
                     )
                     delta_control = ParamVector._own(new_local_c.values - local_cs[i].values)
             except NonFiniteError as exc:
-                raise DivergenceError(round_idx, shard.client_id, steps[i], str(exc)) from exc
+                raise DivergenceError(round_idx, client_id, steps[i], str(exc)) from exc
             update = ClientUpdate(
-                client_id=shard.client_id,
+                client_id=client_id,
                 delta=delta,
                 num_samples=samples[i],
                 step_count=steps[i],
@@ -355,11 +335,11 @@ def train_cohort(
     return results
 
 
-def _divergence(round_idx, shard, step, loss, grad) -> DivergenceError:
+def _divergence(round_idx, client_id, step, loss, grad) -> DivergenceError:
     """The error a client alone would have raised at ``step`` for a row
     whose loss, gradient or new parameters are not all finite."""
     if not np.isfinite(loss):
-        return DivergenceError(round_idx, shard.client_id, step, "loss is NaN or Inf")
+        return DivergenceError(round_idx, client_id, step, "loss is NaN or Inf")
     if not np.isfinite(grad).all():
-        return DivergenceError(round_idx, shard.client_id, step, "vector contains NaN or Inf")
-    return DivergenceError(round_idx, shard.client_id, step + 1, "parameters became NaN or Inf")
+        return DivergenceError(round_idx, client_id, step, "vector contains NaN or Inf")
+    return DivergenceError(round_idx, client_id, step + 1, "parameters became NaN or Inf")

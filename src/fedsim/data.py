@@ -17,7 +17,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .model import validate_xy
+from .model import Batch, _read_only
 from .rng import seeded_rng
 
 # Purpose tags mixed into SeedSequence keys so the streams for dataset
@@ -40,7 +40,8 @@ def shared_data() -> Iterator[None]:
     """Within the block, runs derive what they have in common once.
 
     Runs that agree on (data section, seed, ``num_clients``) share one
-    prepared dataset: split, partition, client shards and test batch.
+    prepared dataset: split, partition and the client shards, each a
+    ``Dataset`` whose index is its client's id.
     Runs of one seed share each round's client sample (for the same
     ``num_clients`` and ``sample_ratio``), each client's seed and each
     epoch's batch order of a shard.  Every shared value is immutable or
@@ -79,36 +80,21 @@ def _memo(key: tuple, build: Callable[[], T]) -> T:
         return value
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True)
-class Dataset:
-    """Feature matrix (n, d) float64 plus labels (n,) int64 in [0, num_classes)."""
+class Dataset(Batch):
+    """A Batch whose labels lie in [0, num_classes)."""
 
-    features: np.ndarray
-    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self) -> None:
-        feats, labs = validate_xy(self.features, self.labels)
+        super().__post_init__()
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if labs.max() >= self.num_classes:
+        if self.labels.max() >= self.num_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), got range "
-                f"[{int(labs.min())}, {int(labs.max())}]"
+                f"[{int(self.labels.min())}, {int(self.labels.max())}]"
             )
-        # Read-only views: runs that share a dataset cannot change it, and
-        # the caller's own arrays stay writeable.
-        object.__setattr__(self, "features", _read_only(feats))
-        object.__setattr__(self, "labels", _read_only(labs))
-
-    def __len__(self) -> int:
-        return int(self.features.shape[0])
 
     @property
     def dim(self) -> int:
@@ -183,6 +169,8 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
         n_test = min(max(n_test, 1), idx.shape[0] - 1)
         test_idx.append(idx[:n_test])
         train_idx.append(idx[n_test:])
+    if not any(idx.size for idx in test_idx):
+        raise ValueError("test split is empty: no class has a second sample to hold out")
     return subset(ds, np.sort(np.concatenate(train_idx))), subset(
         ds, np.sort(np.concatenate(test_idx))
     )

@@ -66,49 +66,43 @@ class ModelSpec:
         return sum(fi * fo + fo for fi, fo in self.layer_shapes)
 
 
-def validate_xy(features, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Coerce to finite float64 features (n >= 1, d) and non-negative int64 labels (n,)."""
-    feats = np.asarray(features, dtype=np.float64)
-    labs = np.asarray(labels)
-    if feats.ndim != 2:
-        raise ValueError(f"features must be 2-D (n, d), got shape {feats.shape}")
-    if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
-        raise ValueError(
-            f"labels must be 1-D with one entry per row: {labs.shape} vs {feats.shape}"
-        )
-    if feats.shape[0] == 0:
-        raise ValueError("need at least one sample")
-    if not np.isfinite(feats).all():
-        raise ValueError("features contain NaN or Inf")
-    if not np.issubdtype(labs.dtype, np.integer):
-        raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
-    if labs.min() < 0:
-        raise ValueError("labels must be non-negative")
-    return feats, labs.astype(np.int64)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
 class Batch:
-    """A design matrix plus integer labels, validated once at construction."""
+    """Labelled rows: finite float64 features (n >= 1, d) and non-negative
+    int64 labels (n,), checked here once; rows cut from them are trusted.
+
+    The arrays are kept as read-only views: runs may share a Batch, and
+    the caller's own arrays stay writeable.
+    """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        feats, labs = validate_xy(self.features, self.labels)
-        object.__setattr__(self, "features", feats)
-        object.__setattr__(self, "labels", labs)
-
-    @classmethod
-    def _of_rows(cls, features: np.ndarray, labels: np.ndarray) -> "Batch":
-        """Batch of rows cut from arrays ``validate_xy`` already accepted.
-
-        Skips the validation ``Batch(...)`` does for every other caller.
-        """
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "features", features)
-        object.__setattr__(batch, "labels", labels)
-        return batch
+        feats = np.asarray(self.features, dtype=np.float64)
+        labs = np.asarray(self.labels)
+        if feats.ndim != 2:
+            raise ValueError(f"features must be 2-D (n, d), got shape {feats.shape}")
+        if labs.ndim != 1 or labs.shape[0] != feats.shape[0]:
+            raise ValueError(
+                f"labels must be 1-D with one entry per row: {labs.shape} vs {feats.shape}"
+            )
+        if feats.shape[0] == 0:
+            raise ValueError("need at least one sample")
+        if not np.isfinite(feats).all():
+            raise ValueError("features contain NaN or Inf")
+        if not np.issubdtype(labs.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labs.dtype}")
+        if labs.min() < 0:
+            raise ValueError("labels must be non-negative")
+        object.__setattr__(self, "features", _read_only(feats))
+        object.__setattr__(self, "labels", _read_only(labs.astype(np.int64)))
 
     def __len__(self) -> int:
         return int(self.features.shape[0])
@@ -174,7 +168,7 @@ def _cross_entropy(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, labels:
     logp = _log_softmax(logits.reshape(count * n, -1))
     picks = (np.arange(count * n), labels.ravel())
     try:
-        # Labels are non-negative (validate_xy), so only one too large fails.
+        # Labels are non-negative (Batch), so only one too large fails.
         picked = logp[picks]
     except IndexError:
         raise ValueError(

@@ -29,7 +29,6 @@ import numpy as np
 # fedsim.orchestrator.local_train.
 from .client import (  # noqa: F401
     ClientConfig,
-    ClientShard,
     ClientUpdate,
     DivergenceError,
     cohort_size,
@@ -45,8 +44,9 @@ from .data import (
     gen_synthetic,
     shared_data,
     split_train_test,
+    subset,
 )
-from .model import Batch, ModelSpec, evaluate, init_params
+from .model import ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
 from .rng import seeded_rng, spawn_seed
 from .server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
@@ -124,8 +124,9 @@ class DataConfig:
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.source == "synthetic":
-            if self.num_classes < 2 or self.dim < 1 or self.samples_per_class < 1:
-                raise ValueError("synthetic data needs num_classes >= 2, dim >= 1, samples_per_class >= 1")
+            if self.num_classes < 2 or self.dim < 1 or self.samples_per_class < 2:
+                # The stratified split holds out at least one sample per class.
+                raise ValueError("synthetic data needs num_classes >= 2, dim >= 1, samples_per_class >= 2")
             if not (0.0 < self.spread < math.inf):
                 raise ValueError(f"spread must be positive and finite, got {self.spread}")
         else:
@@ -256,16 +257,21 @@ def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class PreparedData:
-    """A run's data, ready to train on; every array in it is read-only."""
+    """A run's data, ready to train on; every array in it is read-only.
+
+    ``shards[i]`` is client i's Dataset, cut from ``train`` by
+    ``partition.assignment[i]``; ``test_batch`` is the test split.
+    """
 
     train: Dataset
     partition: Partition
-    shards: tuple[ClientShard, ...]
-    test_batch: Batch
+    shards: tuple[Dataset, ...]
+    test_batch: Dataset
 
 
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
-    """Build the data, hold out the test split, partition the rest and cut the shards.
+    """Build the data, hold out the test split, partition the rest and cut
+    one shard per client; a client's id is its shard's index.
 
     Inside a ``shared_data()`` block, runs that agree on (data section,
     seed, ``num_clients``) share one result.
@@ -275,13 +281,8 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
         full = build_dataset(cfg.data, cfg.seed)
         train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
         partition = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
-        shards = tuple(
-            ClientShard(cid, train.features[idx], train.labels[idx])
-            for cid, idx in enumerate(partition.assignment)
-        )
-        # A Dataset's arrays passed validate_xy and are read-only views.
-        test_batch = Batch._of_rows(test.features, test.labels)
-        return PreparedData(train, partition, shards, test_batch)
+        shards = tuple(subset(train, idx) for idx in partition.assignment)
+        return PreparedData(train, partition, shards, test)
 
     return _memo(("data", cfg.data, cfg.seed, cfg.num_clients), build)
 
@@ -344,6 +345,7 @@ class FederatedRun:
             [self.shards[cid] for cid in ids],
             cfg.client,
             round_idx,
+            ids,
             seeds,
             global_c=self.state.c if scaf else None,
             local_cs=[self.controls[cid] for cid in ids] if scaf else None,

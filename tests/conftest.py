@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from fedsim import data, orchestrator
-from fedsim.client import ClientShard
 
 
 @pytest.fixture
@@ -28,11 +27,12 @@ def derivations(monkeypatch) -> Counter:
 
     ``client_seed``: a client's ``spawn_seed(seed, TAG_CLIENT, round, cid)``;
     ``batch_order``: one epoch's shuffle of a shard; ``sample_clients``: one
-    round's client sample; ``client_shard``: one ``ClientShard`` built.
+    round's client sample; ``client_shard``: one client's shard cut from the
+    training split (``orchestrator.subset``).
     """
     counts: Counter = Counter()
     spawn_seed, seeded_rng = orchestrator.spawn_seed, data.seeded_rng
-    sample_clients, post_init = orchestrator.sample_clients, ClientShard.__post_init__
+    sample_clients, subset = orchestrator.sample_clients, orchestrator.subset
 
     def counting_spawn_seed(*keys):
         if keys[1:2] == (orchestrator.TAG_CLIENT,):
@@ -48,12 +48,12 @@ def derivations(monkeypatch) -> Counter:
         counts["sample_clients"] += 1
         return sample_clients(*args)
 
-    def counting_post_init(shard):
+    def counting_subset(ds, indices):
         counts["client_shard"] += 1
-        post_init(shard)
+        return subset(ds, indices)
 
     monkeypatch.setattr(orchestrator, "spawn_seed", counting_spawn_seed)
     monkeypatch.setattr(data, "seeded_rng", counting_seeded_rng)
     monkeypatch.setattr(orchestrator, "sample_clients", counting_sample_clients)
-    monkeypatch.setattr(ClientShard, "__post_init__", counting_post_init)
+    monkeypatch.setattr(orchestrator, "subset", counting_subset)
     return counts

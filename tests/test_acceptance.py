@@ -20,7 +20,6 @@ import pytest
 from fedsim import (
     Batch,
     ClientConfig,
-    ClientShard,
     DataConfig,
     ExperimentConfig,
     FederatedRun,
@@ -112,7 +111,7 @@ def test_criterion_2_centralized_gd_oracle():
         seed=3,
     )
     run = FederatedRun(cfg)
-    train = run.shards[0].as_batch()
+    train = run.shards[0]
 
     w = run.initial_params.values.copy()
     reference = []
@@ -186,7 +185,7 @@ def test_criterion_3_degenerate_equivalences():
     ds = gen_synthetic(4, 6, 25, 1.5, seed=5)
     spec = ModelSpec("logistic", 6, 4)
     shards = [
-        ClientShard(cid, ds.features[cid * 20 : (cid + 1) * 20], ds.labels[cid * 20 : (cid + 1) * 20])
+        Batch(ds.features[cid * 20 : (cid + 1) * 20], ds.labels[cid * 20 : (cid + 1) * 20])
         for cid in range(5)
     ]
     nova_cfg = ClientConfig(opt_c="nova", batch_size=8, lr=0.05)
@@ -196,12 +195,12 @@ def test_criterion_3_degenerate_equivalences():
     s_avg = ServerState.initial(w0)
     for t in range(1, 9):
         nova_upd = [
-            local_train(spec, s_nova.w, sh, nova_cfg, t, spawn_seed(9, t, sh.client_id))[0]
-            for sh in shards
+            local_train(spec, s_nova.w, sh, nova_cfg, t, cid, spawn_seed(9, t, cid))[0]
+            for cid, sh in enumerate(shards)
         ]
         avg_upd = [
-            local_train(spec, s_avg.w, sh, sgd_cfg, t, spawn_seed(9, t, sh.client_id))[0]
-            for sh in shards
+            local_train(spec, s_avg.w, sh, sgd_cfg, t, cid, spawn_seed(9, t, cid))[0]
+            for cid, sh in enumerate(shards)
         ]
         assert len({u.step_count for u in nova_upd}) == 1  # the homogeneity premise
         s_nova = server_step(s_nova, aggregate(nova_upd), ServerConfig())
@@ -218,7 +217,7 @@ def test_criterion_3_degenerate_equivalences():
     t0 = time.perf_counter()
     ds = gen_synthetic(3, 5, 20, 1.5, seed=6)
     spec = ModelSpec("logistic", 5, 3)
-    twins = [ClientShard(cid, ds.features, ds.labels) for cid in range(4)]
+    twins = [Batch(ds.features, ds.labels) for _ in range(4)]
     scaf_cfg = ClientConfig(opt_c="scaf", control_option="I", batch_size=16, lr=0.05)
     plain_cfg = ClientConfig(opt_c="sgd", batch_size=16, lr=0.05)
     w0 = init_params(spec, 78)
@@ -227,8 +226,8 @@ def test_criterion_3_degenerate_equivalences():
     controls = {cid: ParamVector.zeros(len(w0)) for cid in range(4)}
     for t in range(1, 9):
         plain_upd = [
-            local_train(spec, s_plain.w, sh, plain_cfg, t, spawn_seed(11, t, sh.client_id))[0]
-            for sh in twins
+            local_train(spec, s_plain.w, sh, plain_cfg, t, cid, spawn_seed(11, t, cid))[0]
+            for cid, sh in enumerate(twins)
         ]
         scaf_results = [
             local_train(
@@ -237,11 +236,12 @@ def test_criterion_3_degenerate_equivalences():
                 sh,
                 scaf_cfg,
                 t,
-                spawn_seed(11, t, sh.client_id),
+                cid,
+                spawn_seed(11, t, cid),
                 global_c=s_scaf.c,
-                local_c=controls[sh.client_id],
+                local_c=controls[cid],
             )
-            for sh in twins
+            for cid, sh in enumerate(twins)
         ]
         scaf_upd = [u for u, _ in scaf_results]
         for u, new_local in scaf_results:

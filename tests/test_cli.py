@@ -115,6 +115,27 @@ def test_run_on_csv_whose_header_width_differs_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {csv_path}: {want}\n"
 
 
+def test_data_too_small_to_hold_out_a_test_split_exits_2(tmp_path, capsys):
+    # The stratified split keeps a class's only sample for training.
+    cfg = write_config(tmp_path, TINY.replace("samples_per_class: 30", "samples_per_class: 1"))
+    assert main(["run", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # rejected at parse time
+    assert captured.err == (
+        "config error: data (line 6): synthetic data needs num_classes >= 2, dim >= 1, "
+        "samples_per_class >= 2\n"
+    )
+    csv_path = tmp_path / "d.csv"
+    csv_path.write_text("0.5,0\n1.5,1\n2.5,2\n")  # one row per class
+    cfg = write_config(
+        tmp_path, f"num_clients: 2\nrounds: 1\ndata:\n  source: csv\n  path: {csv_path}\n"
+    )
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "error: test split is empty: no class has a second sample to hold out\n"
+    )
+
+
 def test_non_finite_config_value_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY + "client:\n  weight_decay: .nan\n")
     assert main(["run", cfg]) == 2
@@ -455,3 +476,13 @@ def test_python_dash_m_fedsim_cli_warns_nothing():
     )
     assert proc.returncode == 0, proc.stderr
     assert {"GridResult", "emit_per_seed_report", "emit_report", "run_grid"} <= set(fedsim.__all__)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(fedsim.__all__)) == len(fedsim.__all__)
+    for name in fedsim.__all__:
+        getattr(fedsim, name)  # AttributeError names a stale export
+    namespace: dict = {}
+    exec("from fedsim import *", namespace)
+    assert set(fedsim.__all__) <= namespace.keys()
+    assert not hasattr(fedsim, "ClientShard")  # a shard is a Dataset now

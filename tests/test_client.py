@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from fedsim.client import (
     ClientConfig,
-    ClientShard,
     DivergenceError,
     accum_coeff_norm,
     cohort_size,
@@ -27,16 +26,15 @@ MLP_RELU = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="relu")
 MLP_TANH = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="tanh")
 
 
-def make_shard(cid=0, n=20, seed=0, spec=SPEC) -> ClientShard:
+def make_shard(n=20, seed=0, spec=SPEC) -> Batch:
     rng = np.random.default_rng(seed)
-    return ClientShard(
-        cid,
+    return Batch(
         rng.normal(size=(n, spec.input_dim)),
         rng.integers(0, spec.num_classes, size=n).astype(np.int64),
     )
 
 
-def replay(shard: ClientShard, w0: ParamVector, cfg: ClientConfig, seed: int,
+def replay(shard: Batch, w0: ParamVector, cfg: ClientConfig, seed: int,
            c_global: np.ndarray | None = None, c_local: np.ndarray | None = None,
            spec: ModelSpec = SPEC):
     """Straight-line reimplementation of the local update loop."""
@@ -45,7 +43,7 @@ def replay(shard: ClientShard, w0: ParamVector, cfg: ClientConfig, seed: int,
     losses = []
     steps = 0
     for epoch in range(cfg.local_epochs):
-        for bidx in epoch_batches(np.arange(shard.num_samples), cfg.batch_size, epoch, seed):
+        for bidx in epoch_batches(np.arange(len(shard)), cfg.batch_size, epoch, seed):
             loss, grad = loss_and_grad(spec, ParamVector(w), Batch(shard.features[bidx], shard.labels[bidx]))
             g = grad.values.copy()
             if cfg.opt_c == "scaf":
@@ -122,11 +120,11 @@ def test_single_full_batch_step_is_minus_lr_grad():
     shard = make_shard(n=10)
     w0 = init_params(SPEC, 1)
     cfg = ClientConfig(opt_c="sgd", batch_size=100, lr=0.1, momentum=0.0, weight_decay=0.0)
-    update, ctrl = local_train(SPEC, w0, shard, cfg, round_idx=1, seed=5)
+    update, ctrl = local_train(SPEC, w0, shard, cfg, round_idx=1, client_id=0, seed=5)
     assert ctrl is None
     assert update.step_count == 1
     assert update.num_samples == 10
-    _, grad = loss_and_grad(SPEC, w0, shard.as_batch())
+    _, grad = loss_and_grad(SPEC, w0, shard)
     # row order inside the single batch is shuffled, so the gradient mean
     # accumulates in a different order: equality holds to rounding error
     npt.assert_allclose(update.delta.values, -0.1 * grad.values, rtol=1e-12, atol=1e-15)
@@ -137,7 +135,7 @@ def test_single_full_batch_step_is_minus_lr_grad():
 def test_step_count_is_epochs_times_batches():
     shard = make_shard(n=20)
     cfg = ClientConfig(opt_c="sgd", local_epochs=3, batch_size=8)
-    update, _ = local_train(SPEC, init_params(SPEC, 0), shard, cfg, 1, 2)
+    update, _ = local_train(SPEC, init_params(SPEC, 0), shard, cfg, 1, 0, 2)
     assert update.step_count == 3 * 3  # ceil(20/8) = 3 batches per epoch
 
 
@@ -172,7 +170,7 @@ def test_local_train_matches_replay(spec, opt_c, momentum, weight_decay, prox_mu
         rng = np.random.default_rng(8)
         c_global, c_local = (0.1 * rng.normal(size=len(w0)) for _ in range(2))
         controls = dict(global_c=ParamVector(c_global), local_c=ParamVector(c_local))
-    update, _ = local_train(spec, w0, shard, cfg, round_idx=4, seed=11, **controls)
+    update, _ = local_train(spec, w0, shard, cfg, round_idx=4, client_id=0, seed=11, **controls)
     w_ref, steps_ref, loss_ref = replay(
         shard, w0, cfg, seed=11, c_global=c_global, c_local=c_local, spec=spec
     )
@@ -195,14 +193,14 @@ def test_returned_vectors_are_read_only_and_not_aliased():
     c_g = ParamVector(0.01 * rng.normal(size=len(w0)))
     c_l = ParamVector(0.01 * rng.normal(size=len(w0)))
     cfg = ClientConfig(opt_c="scaf", local_epochs=2, batch_size=5, control_option="I")
-    update, new_c = local_train(SPEC, w0, shard, cfg, 1, 11, global_c=c_g, local_c=c_l)
+    update, new_c = local_train(SPEC, w0, shard, cfg, 1, 0, 11, global_c=c_g, local_c=c_l)
     returned = (update.delta, update.delta_control, new_c)
     kept = [vec.values.copy() for vec in returned]
     for vec in returned:
         assert not vec.values.flags.writeable
     # A later call must not write through any buffer of the first one.
     second, _ = local_train(
-        SPEC, w0, make_shard(n=23, seed=4), cfg, 2, 12, global_c=c_g, local_c=new_c
+        SPEC, w0, make_shard(n=23, seed=4), cfg, 2, 0, 12, global_c=c_g, local_c=new_c
     )
     for vec, bits in zip(returned, kept):
         npt.assert_array_equal(vec.values, bits)
@@ -238,7 +236,7 @@ def test_scaf_matches_replay_and_option_two_identity():
     cfg = ClientConfig(opt_c="scaf", local_epochs=2, batch_size=4, lr=0.02,
                        momentum=0.5, weight_decay=0.0, control_option="II")
     update, new_c = local_train(
-        SPEC, w0, shard, cfg, round_idx=2, seed=13, global_c=c_g, local_c=c_l
+        SPEC, w0, shard, cfg, round_idx=2, client_id=0, seed=13, global_c=c_g, local_c=c_l
     )
     w_ref, steps_ref, _ = replay(shard, w0, cfg, seed=13, c_global=c_g.values, c_local=c_l.values)
     npt.assert_array_equal(update.delta.values, w_ref - w0.values)
@@ -254,9 +252,9 @@ def test_scaf_option_one_is_full_batch_gradient_at_start():
     zero = ParamVector.zeros(len(w0))
     cfg = ClientConfig(opt_c="scaf", batch_size=4, control_option="I")
     update, new_c = local_train(
-        SPEC, w0, shard, cfg, round_idx=1, seed=17, global_c=zero, local_c=zero
+        SPEC, w0, shard, cfg, round_idx=1, client_id=0, seed=17, global_c=zero, local_c=zero
     )
-    _, full_grad = loss_and_grad(SPEC, w0, shard.as_batch())
+    _, full_grad = loss_and_grad(SPEC, w0, shard)
     assert new_c.same_bits(full_grad)
     npt.assert_array_equal(update.delta_control.values, full_grad.values)
 
@@ -267,7 +265,7 @@ def test_update_control_variate_directly():
     w1 = init_params(SPEC, 2)
     zero = ParamVector.zeros(len(w0))
     got = update_control_variate("I", SPEC, shard, w0, w1, zero, zero, steps=3, lr=0.1)
-    _, expected = loss_and_grad(SPEC, w0, shard.as_batch())
+    _, expected = loss_and_grad(SPEC, w0, shard)
     assert got.same_bits(expected)
     got2 = update_control_variate("II", SPEC, shard, w0, w1, zero, zero, steps=4, lr=0.5)
     npt.assert_array_equal(got2.values, (w0.values - w1.values) / 2.0)
@@ -284,9 +282,9 @@ def test_prox_mu_zero_is_bitwise_plain():
     shard = make_shard(n=18, seed=8)
     w0 = init_params(SPEC, 4)
     common = dict(local_epochs=2, batch_size=6, lr=0.05, momentum=0.9, weight_decay=1e-4)
-    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 3, 21)
+    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 3, 0, 21)
     prox, _ = local_train(
-        SPEC, w0, shard, ClientConfig(opt_c="prox", prox_mu=0.0, **common), 3, 21
+        SPEC, w0, shard, ClientConfig(opt_c="prox", prox_mu=0.0, **common), 3, 0, 21
     )
     assert plain.delta.same_bits(prox.delta)
     assert plain.train_loss == prox.train_loss
@@ -296,10 +294,10 @@ def test_scaf_equal_variates_matches_plain_values():
     shard = make_shard(n=18, seed=8)
     w0 = init_params(SPEC, 4)
     common = dict(local_epochs=2, batch_size=6, lr=0.05, momentum=0.9, weight_decay=1e-4)
-    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 3, 21)
+    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 3, 0, 21)
     c = ParamVector(0.05 * np.arange(len(w0), dtype=np.float64))
     scaf, _ = local_train(
-        SPEC, w0, shard, ClientConfig(opt_c="scaf", **common), 3, 21,
+        SPEC, w0, shard, ClientConfig(opt_c="scaf", **common), 3, 0, 21,
         global_c=c, local_c=c,
     )
     npt.assert_array_equal(scaf.delta.values, plain.delta.values)
@@ -310,8 +308,8 @@ def test_nova_delta_equals_plain_delta():
     shard = make_shard(n=15, seed=2)
     w0 = init_params(SPEC, 6)
     common = dict(local_epochs=1, batch_size=4, lr=0.03, momentum=0.9, weight_decay=1e-4)
-    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 1, 31)
-    nova, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="nova", **common), 1, 31)
+    plain, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="sgd", **common), 1, 0, 31)
+    nova, _ = local_train(SPEC, w0, shard, ClientConfig(opt_c="nova", **common), 1, 0, 31)
     assert plain.delta.same_bits(nova.delta)
     assert nova.coeff_norm == pytest.approx(accum_coeff_norm(0.9, plain.step_count), rel=1e-15)
 
@@ -323,8 +321,8 @@ def test_momentum_buffer_resets_every_round():
     shard = make_shard(n=12, seed=1)
     w0 = init_params(SPEC, 9)
     cfg = ClientConfig(opt_c="sgd", momentum=0.9, batch_size=4)
-    first, _ = local_train(SPEC, w0, shard, cfg, round_idx=1, seed=7)
-    second, _ = local_train(SPEC, w0, shard, cfg, round_idx=1, seed=7)
+    first, _ = local_train(SPEC, w0, shard, cfg, round_idx=1, client_id=0, seed=7)
+    second, _ = local_train(SPEC, w0, shard, cfg, round_idx=1, client_id=0, seed=7)
     assert first.delta.same_bits(second.delta)
 
 
@@ -332,9 +330,9 @@ def test_determinism_and_seed_sensitivity():
     shard = make_shard(n=25, seed=5)
     w0 = init_params(SPEC, 8)
     cfg = ClientConfig(opt_c="sgd", batch_size=8)
-    a, _ = local_train(SPEC, w0, shard, cfg, 1, 100)
-    b, _ = local_train(SPEC, w0, shard, cfg, 1, 100)
-    c, _ = local_train(SPEC, w0, shard, cfg, 1, 101)
+    a, _ = local_train(SPEC, w0, shard, cfg, 1, 0, 100)
+    b, _ = local_train(SPEC, w0, shard, cfg, 1, 0, 100)
+    c, _ = local_train(SPEC, w0, shard, cfg, 1, 0, 101)
     assert a.delta.same_bits(b.delta)
     assert not a.delta.same_bits(c.delta)
 
@@ -349,7 +347,7 @@ def test_prox_pull_strengthens_with_mu():
             opt_c="prox", prox_mu=mu, local_epochs=4, batch_size=8,
             lr=0.1, momentum=0.0, weight_decay=0.0,
         )
-        update, _ = local_train(SPEC, w0, shard, cfg, 1, 3)
+        update, _ = local_train(SPEC, w0, shard, cfg, 1, 0, 3)
         drifts.append(float(np.linalg.norm(update.delta.values)))
     assert drifts == sorted(drifts, reverse=True), drifts
 
@@ -358,7 +356,7 @@ def test_scaf_requires_control_variates():
     shard = make_shard()
     w0 = init_params(SPEC, 0)
     with pytest.raises(ValueError):
-        local_train(SPEC, w0, shard, ClientConfig(opt_c="scaf"), 1, 0)
+        local_train(SPEC, w0, shard, ClientConfig(opt_c="scaf"), 1, 0, 0)
 
 
 @pytest.mark.parametrize(
@@ -373,14 +371,14 @@ def test_scaf_requires_control_variates():
 )
 def test_shard_validates_at_construction(features, labels):
     with pytest.raises(ValueError):
-        ClientShard(0, features, labels)
+        Batch(features, labels)
 
 
 def test_overflow_in_forward_pass_is_a_divergence():
     shard = make_shard(n=10, seed=3)
     w0 = ParamVector(np.full(SPEC.param_count, 1e308))
     with pytest.raises(DivergenceError) as exc_info:
-        local_train(SPEC, w0, shard, ClientConfig(batch_size=4), round_idx=2, seed=1)
+        local_train(SPEC, w0, shard, ClientConfig(batch_size=4), round_idx=2, client_id=0, seed=1)
     err = exc_info.value
     assert (err.round_idx, err.client_id, err.step) == (2, 0, 0)
     assert str(err).endswith("loss is NaN or Inf")
@@ -391,12 +389,12 @@ def test_divergence_error_carries_location():
     w0 = init_params(SPEC, 0)
     cfg = ClientConfig(opt_c="sgd", lr=1e300, batch_size=4, local_epochs=2)
     with pytest.raises(DivergenceError) as exc_info:
-        local_train(SPEC, w0, shard, cfg, round_idx=7, seed=1)
+        local_train(SPEC, w0, shard, cfg, round_idx=7, client_id=4, seed=1)
     err = exc_info.value
     assert err.round_idx == 7
-    assert err.client_id == 0
+    assert err.client_id == 4
     assert err.step is not None and err.step >= 1
-    assert "round 7" in str(err) and "client 0" in str(err)
+    assert "round 7" in str(err) and "client 4" in str(err)
 
 
 # ------------------------------------------------------------------ cohorts
@@ -429,8 +427,9 @@ def _cohort_cases():
 
 @pytest.mark.parametrize("spec,opt_c,epochs,option", list(_cohort_cases()))
 def test_cohort_matches_each_client_alone(spec, opt_c, epochs, option):
-    shards = [make_shard(cid, n, seed=cid, spec=spec) for cid, n in enumerate(COHORT_SIZES)]
-    seeds = [40 + cid for cid in range(len(shards))]
+    shards = [make_shard(n, seed=cid, spec=spec) for cid, n in enumerate(COHORT_SIZES)]
+    ids = list(range(len(shards)))
+    seeds = [40 + cid for cid in ids]
     w0 = init_params(spec, 3)
     cfg = ClientConfig(opt_c=opt_c, local_epochs=epochs, batch_size=4, lr=0.05, control_option=option)
     controls = {}
@@ -439,20 +438,21 @@ def test_cohort_matches_each_client_alone(spec, opt_c, epochs, option):
         rng = np.random.default_rng(5)
         local_cs = [ParamVector(0.1 * rng.normal(size=len(w0))) for _ in shards]
         controls = dict(global_c=ParamVector(0.1 * rng.normal(size=len(w0))), local_cs=local_cs)
-    cohort = train_cohort(spec, w0, shards, cfg, 2, seeds, **controls)
+    cohort = train_cohort(spec, w0, shards, cfg, 2, ids, seeds, **controls)
     assert len(cohort) == len(shards)
-    for shard, seed, local_c, got in zip(shards, seeds, local_cs, cohort):
+    for shard, cid, seed, local_c, got in zip(shards, ids, seeds, local_cs, cohort):
         alone = local_train(
-            spec, w0, shard, cfg, 2, seed, global_c=controls.get("global_c"), local_c=local_c
+            spec, w0, shard, cfg, 2, cid, seed, global_c=controls.get("global_c"), local_c=local_c
         )
+        assert got[0].client_id == cid
         assert_same_result(got, alone)
 
 
-def _diverging_shard(cid, n, huge_rows):
-    rng = np.random.default_rng(cid)
+def _diverging_shard(seed, n, huge_rows):
+    rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, SPEC.input_dim))
     features[:huge_rows] *= 1e300
-    return ClientShard(cid, features, rng.integers(0, SPEC.num_classes, size=n))
+    return Batch(features, rng.integers(0, SPEC.num_classes, size=n))
 
 
 @pytest.mark.parametrize(
@@ -472,27 +472,37 @@ def test_cohort_raises_the_first_clients_divergence(lr, order, message):
     values = init_params(SPEC, 0).values.copy()
     values[0 : SPEC.input_dim * SPEC.num_classes : SPEC.num_classes] = 1e10
     w0 = ParamVector(values)
+    all_ids = [3, 5, 8]
     all_shards = [_diverging_shard(3, 13, 1), _diverging_shard(5, 10, 10), _diverging_shard(8, 6, 0)]
     shards = [all_shards[i] for i in order]
+    ids = [all_ids[i] for i in order]
     seeds = [2 + i for i in order]
     cfg = ClientConfig(opt_c="sgd", lr=lr, batch_size=4, local_epochs=2)
     with pytest.raises(DivergenceError) as exc_info:
-        train_cohort(SPEC, w0, shards, cfg, 3, seeds)
+        train_cohort(SPEC, w0, shards, cfg, 3, ids, seeds)
     assert str(exc_info.value) == f"divergence at round 3, {message}"
     with pytest.raises(DivergenceError) as alone:
-        for shard, seed in zip(shards, seeds):
-            local_train(SPEC, w0, shard, cfg, 3, seed)
+        for shard, cid, seed in zip(shards, ids, seeds):
+            local_train(SPEC, w0, shard, cfg, 3, cid, seed)
     assert str(alone.value) == str(exc_info.value)
 
 
 def test_batch_size_past_every_shard_trains_each_shard_as_one_batch():
-    shards = [make_shard(cid, n, seed=cid) for cid, n in enumerate((5, 9, 2))]
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate((5, 9, 2))]
     w0 = init_params(SPEC, 1)
-    huge = train_cohort(SPEC, w0, shards, ClientConfig(batch_size=10**12), 1, [7, 8, 9])
-    for shard, seed, got in zip(shards, (7, 8, 9), huge):
-        exact = ClientConfig(batch_size=shard.num_samples)
-        assert_same_result(got, local_train(SPEC, w0, shard, exact, 1, seed))
+    huge = train_cohort(SPEC, w0, shards, ClientConfig(batch_size=10**12), 1, [0, 1, 2], [7, 8, 9])
+    for cid, shard, seed, got in zip((0, 1, 2), shards, (7, 8, 9), huge):
+        exact = ClientConfig(batch_size=len(shard))
+        assert_same_result(got, local_train(SPEC, w0, shard, exact, 1, cid, seed))
         assert got[0].step_count == 1
+
+
+def test_cohort_needs_one_id_and_one_seed_per_shard():
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate((5, 9))]
+    w0 = init_params(SPEC, 1)
+    for ids, seeds in (([0], [7, 8]), ([0, 1], [7]), ([0, 1, 2], [7, 8])):
+        with pytest.raises(ValueError):
+            train_cohort(SPEC, w0, shards, ClientConfig(), 1, ids, seeds)
 
 
 def test_cohort_size_caps_a_cohorts_bytes():

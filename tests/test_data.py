@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fedsim import data as data_mod
+from fedsim.model import Batch
 from fedsim.data import (
     Dataset,
     Partition,
@@ -253,6 +254,26 @@ def test_split_validation():
     for frac in (0.0, 1.0, -0.1):
         with pytest.raises(ValueError):
             split_train_test(ds, frac, seed=0)
+
+
+def test_split_names_an_empty_test_split():
+    # A class's only sample stays in train, so one sample per class leaves
+    # no test row; one class with a second sample is enough.
+    ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 2]), num_classes=3)
+    with pytest.raises(ValueError, match="^test split is empty: no class has a second sample"):
+        split_train_test(ds, 0.2, seed=0)
+    ds = Dataset(np.arange(8.0).reshape(4, 2), np.array([0, 1, 2, 2]), num_classes=3)
+    train, test = split_train_test(ds, 0.2, seed=0)
+    assert (len(train), test.labels.tolist()) == (3, [2])
+
+
+def test_dataset_is_the_batch_type_with_a_class_count():
+    assert issubclass(Dataset, Batch)
+    ds = gen_synthetic(3, 2, 10, 1.0, seed=0)
+    sub = subset(ds, np.array([0, 10, 20]))
+    assert type(sub) is Dataset and sub.num_classes == 3
+    with pytest.raises(ValueError, match="read-only"):
+        sub.features[0, 0] = 1.0
 
 
 def test_subset():

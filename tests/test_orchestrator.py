@@ -10,8 +10,8 @@ import pytest
 from fedsim import client as client_mod
 from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
-from fedsim.client import ClientConfig
-from fedsim.data import gen_synthetic, split_train_test
+from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig
+from fedsim.data import Dataset, gen_synthetic, split_train_test
 from fedsim.model import Batch, loss_and_grad
 from fedsim.orchestrator import (
     ALGORITHM_NAMES,
@@ -503,6 +503,28 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
             expected += ["aggregate", "aggregate_control"] if scaf else ["aggregate"]
             expected += ["server_step"]
         assert calls == expected
+
+
+def test_labelled_rows_are_checked_only_while_a_run_sets_up(monkeypatch):
+    """``Batch.__post_init__``, the one check of labelled rows, runs while
+    ``FederatedRun(...)`` sets up: once for the dataset, once per split
+    and once per client's shard.  No round checks rows again, in any
+    client mechanism's step loop or option I's control variates."""
+    checked = []
+    post_init = Batch.__post_init__
+
+    def counting(batch):
+        checked.append(type(batch))
+        post_init(batch)
+
+    monkeypatch.setattr(Batch, "__post_init__", counting)
+    for opt_c in CLIENT_OPTIMIZERS:
+        checked.clear()
+        cfg = tiny_config(client=ClientConfig(opt_c=opt_c, batch_size=8, local_epochs=2))
+        run = FederatedRun(cfg)
+        assert checked == [Dataset] * (1 + 2 + cfg.num_clients)
+        assert run.run().status == "ok"
+        assert len(checked) == 1 + 2 + cfg.num_clients
 
 
 def test_metrics_csv_is_written_once_per_eval_round(tmp_path, monkeypatch):
