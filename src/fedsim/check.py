@@ -19,12 +19,15 @@ from .client import (
     local_train,
     train_cohort,
 )
-from .data import dirichlet_partition, gen_synthetic
+from .data import dirichlet_partition, epoch_batches, gen_synthetic
 from .model import Batch, ModelSpec, finite_diff_grad, init_params, loss_and_grad
 from .orchestrator import (
     DataConfig,
     ExperimentConfig,
+    TAG_CLIENT,
+    TAG_SAMPLING,
     FederatedRun,
+    Schedule,
     run_experiment,
     sample_clients,
 )
@@ -177,6 +180,29 @@ def check_cohort() -> str:
     return f"{len(ids)} clients in a cohort match each alone for {', '.join(CLIENT_OPTIMIZERS)}"
 
 
+def check_streams() -> str:
+    """A run's schedule, derived as arrays, equals what the reference
+    functions draw through numpy's own SeedSequence and PCG64 seeding;
+    a numpy that seeds another way fails here."""
+    base = _tiny_config()
+    cfg = replace(base, seed=2**40 + 3, client=replace(base.client, local_epochs=2))
+    sizes = [len(shard) for shard in FederatedRun(cfg).shards]
+    schedule = Schedule(cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, 2, False)
+    sampling = spawn_seed(cfg.seed, TAG_SAMPLING)
+    for r in range(1, cfg.rounds + 1):
+        ids = sample_clients(cfg.num_clients, cfg.sample_ratio, r, sampling)
+        _require(schedule.ids[r - 1].tolist() == ids, f"round {r}: sampled ids differ")
+        seeds = [spawn_seed(cfg.seed, TAG_CLIENT, r, cid) for cid in ids]
+        _require(schedule.seeds[r - 1].tolist() == seeds, f"round {r}: client seeds differ")
+        got = schedule.batch_orders(r, [sizes[cid] for cid in ids])
+        for cid, seed, orders in zip(ids, seeds, got):
+            rows = np.arange(sizes[cid])
+            for epoch, order in enumerate(orders):
+                want = np.concatenate(epoch_batches(rows, cfg.client.batch_size, epoch, seed))
+                _require(np.array_equal(order, want), f"round {r}, client {cid}: batch order differs")
+    return f"{cfg.rounds} rounds of client samples, seeds and batch orders match numpy's"
+
+
 def check_partition() -> str:
     """Dirichlet partition is a disjoint cover with no empty client."""
     ds = gen_synthetic(num_classes=4, dim=3, samples_per_class=30, spread=1.0, seed=5)
@@ -209,6 +235,7 @@ CHECKS = (
     ("prox-zero", check_prox_zero_is_plain),
     ("determinism", check_determinism),
     ("cohort", check_cohort),
+    ("streams", check_streams),
     ("partition", check_partition),
 )
 

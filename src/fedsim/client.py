@@ -2,7 +2,7 @@
 
 A client's shard is a ``Batch`` of its rows, checked once when it is cut.
 One round of local work is a pure function of (global params, control
-variates, shard, client id, config, round index, seed): E epochs of
+variates, shard, client id, config, round index, batch orders): E epochs of
 mini-batch SGD with momentum and decoupled weight decay, optionally
 augmented by one of three drift-mitigation mechanisms selected by ``opt_c``:
 
@@ -30,13 +30,16 @@ are rows of (clients x P) arrays.  At each local step index, the clients
 whose next batch has the same size form a group: full batches form one
 group, and partial last batches are grouped by their size.  Each group
 takes one stacked ``loss_and_grad_rows`` call, and the step formulas
-above apply row-wise.  Every client keeps its own batch stream
-(``epoch_batches`` per epoch) and leaves the cohort when its batches run
-out or its row stops being finite.  Each row gets the bits the client
-would get alone, and a divergence names the client and step it would
-name alone: the first diverging client in cohort order.  ``local_train``
-is the cohort of one.  ``COHORT_BYTES`` caps a cohort's (clients x P)
-arrays, so a wide model trains in cohorts of one.
+above apply row-wise.  Every client keeps its own batch orders, one
+shuffle of its rows per epoch, which the caller passes in: a run takes
+them from its schedule (``orchestrator.Schedule``), and ``local_train``
+passes the client's seed, from which ``epoch_batches`` derives them.  A client
+leaves the cohort when its batches run out or its row stops being
+finite.  Each row gets the bits the client would get alone, and a
+divergence names the client and step it would name alone: the first
+diverging client in cohort order.  ``local_train`` is the cohort of one.
+``COHORT_BYTES`` caps a cohort's (clients x P) arrays, so a wide model
+trains in cohorts of one.
 """
 from __future__ import annotations
 
@@ -207,16 +210,19 @@ def train_cohort(
     cfg: ClientConfig,
     round_idx: int,
     ids: Sequence[int],
-    seeds: Sequence[int],
+    orders: Sequence[int | Sequence[np.ndarray]],
     global_c: ParamVector | None = None,
     local_cs: Sequence[ParamVector] | None = None,
 ) -> list[tuple[ClientUpdate, ParamVector | None]]:
     """Run one round of local training for every shard, side by side.
 
-    Entry i is what ``local_train`` returns for shard i, client id
-    ``ids[i]``, seed i and control variate i alone, bit for bit.  If
-    clients diverge, the DivergenceError raised is that of the first of
-    them in ``shards`` order, as if they had trained one after another.
+    ``orders[i]`` holds shard i's batch order of each local epoch, a
+    permutation of its row indices, or is the seed that ``epoch_batches``
+    shuffles them with.  Entry i is what ``local_train`` returns for shard
+    i, client id ``ids[i]``, control variate i and a seed of those orders
+    alone, bit for bit.  If clients diverge, the DivergenceError raised
+    is that of the first of them in ``shards`` order, as if they had
+    trained one after another.
     """
     scaf = cfg.opt_c == "scaf"
     if scaf and (global_c is None or local_cs is None):
@@ -244,12 +250,19 @@ def train_cohort(
     width = min(size, max(samples))
     order = np.empty((count, max(steps), width), dtype=np.int64)
     offset = 0
-    for i, (n, seed) in enumerate(zip(samples, seeds, strict=True)):
-        indices = np.arange(offset, offset + n)
+    for i, (n, epochs) in enumerate(zip(samples, orders, strict=True)):
+        if isinstance(epochs, (int, np.integer)):
+            indices, seed = np.arange(n), epochs
+            epochs = [
+                np.concatenate(epoch_batches(indices, size, epoch, seed))
+                for epoch in range(cfg.local_epochs)
+            ]
+        elif len(epochs) != cfg.local_epochs:
+            raise ValueError(f"need {cfg.local_epochs} batch orders a client, got {len(epochs)}")
         nb = per_epoch[i]
-        for epoch in range(cfg.local_epochs):
+        for epoch, perm in enumerate(epochs):
             block = order[i, epoch * nb : (epoch + 1) * nb].reshape(-1)
-            block[:n] = np.concatenate(epoch_batches(indices, size, epoch, seed))
+            np.add(perm, offset, out=block[:n])
         offset += n
     losses = np.empty((count, max(steps)))
     errors: list[DivergenceError | None] = [None] * count

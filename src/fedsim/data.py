@@ -17,7 +17,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .model import Batch, _read_only
+from .model import Batch
 from .rng import seeded_rng
 
 # Purpose tags mixed into SeedSequence keys so the streams for dataset
@@ -42,26 +42,33 @@ def shared_data() -> Iterator[None]:
     Runs that agree on (data section, seed, ``num_clients``) share one
     prepared dataset: split, partition and the client shards, each a
     ``Dataset`` whose index is its client's id.
-    Runs of one seed share each round's client sample (for the same
-    ``num_clients`` and ``sample_ratio``), each client's seed and each
-    epoch's batch order of a shard.  Every shared value is immutable or
-    read-only, so no run can change what the next one reads, and each
-    run gives the same bits as outside a block.
+    Runs that agree on (seed, ``num_clients``, ``sample_ratio``,
+    ``rounds``, ``local_epochs``) share one random schedule
+    (``orchestrator.Schedule``): every round's client sample, every
+    client's seed and the batch orders it derives.  Every shared value is
+    immutable or read-only, so no run can change what the next one reads,
+    and each run gives the same bits as outside a block.
 
     The memo holds it all until the block ends: a prepared dataset per
-    key and, per seed and round, the sampled ids, their seeds and one
-    int64 index per sampled sample per local epoch (8 bytes x rounds x
-    sampled samples x local epochs a seed), which is why ``run_grid``
-    opens one block per seed.  Ending with the block, it
-    reads a data file rewritten between two blocks again; an outer
-    block's memo is restored on exit.  Threads other than the one that
-    opened the block see no memo and derive everything themselves.
+    key and a schedule per key.  A schedule takes 8 bytes per sampled
+    client per round for its ids, 8 for its seeds and 32 per local epoch
+    for its seed words, and keeps one int64 index per sampled sample per
+    local epoch (8 bytes x rounds x sampled samples x local epochs),
+    which is why ``run_grid`` opens one block per seed.  Ending with the
+    block, it reads a data file rewritten between two blocks again; an
+    outer block's memo is restored on exit.  Threads other than the one
+    that opened the block see no memo.
     """
     token = _shared.set({})
     try:
         yield
     finally:
         _shared.reset(token)
+
+
+def sharing() -> bool:
+    """Whether a ``shared_data()`` block is open in this thread."""
+    return _shared.get() is not None
 
 
 def _memo(key: tuple, build: Callable[[], T]) -> T:
@@ -235,11 +242,7 @@ def epoch_batches(
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")
     n = idx.shape[0]
-    order = _memo(
-        ("batch_order", seed, epoch, n),
-        lambda: _read_only(seeded_rng(seed, TAG_BATCH, epoch).permutation(n)),
-    )
-    perm = idx[order]
+    perm = idx[seeded_rng(seed, TAG_BATCH, epoch).permutation(n)]
     return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
 
 

@@ -102,7 +102,7 @@ class Batch:
         if labs.min() < 0:
             raise ValueError("labels must be non-negative")
         object.__setattr__(self, "features", _read_only(feats))
-        object.__setattr__(self, "labels", _read_only(labs.astype(np.int64)))
+        object.__setattr__(self, "labels", _read_only(labs.astype(np.int64, copy=False)))
 
     def __len__(self) -> int:
         return int(self.features.shape[0])

@@ -5,13 +5,17 @@ out a stratified test split, partition the training data across clients
 by Dirichlet label skew, then for each round sample a client subset,
 train locally, aggregate deltas, and step the server optimizer.
 
-Clients are pure functions of (round-start state, shard, config, derived
-seed), and every random stream is keyed by purpose tags, so a run is a
+Clients are pure functions of (round-start state, shard, config, batch
+orders), and every random stream is keyed by purpose tags, so a run is a
 pure function of its config: rerunning, or distributing clients over a
-thread pool, reproduces results bit for bit.  A round trains its sampled
-clients as cohorts (``client.train_cohort``), cut to the cohort size cap;
-with a thread pool, each thread trains a contiguous chunk of the round's
-clients as its own cohort.
+thread pool, reproduces results bit for bit.  A run derives its random
+schedule (``Schedule``: every round's client sample, every client's seed
+and batch orders) as arrays at its first round, to the bits of
+``sample_clients``, ``spawn_seed`` and ``epoch_batches``.  A round trains
+its sampled clients as cohorts (``client.train_cohort``), cut to the
+cohort size cap; with a thread pool, each thread trains a contiguous
+chunk of the round's clients as its own cohort, on batch orders the
+calling thread derived.
 """
 from __future__ import annotations
 
@@ -36,6 +40,7 @@ from .client import (  # noqa: F401
     train_cohort,
 )
 from .data import (
+    TAG_BATCH,
     Dataset,
     Partition,
     _memo,
@@ -43,12 +48,13 @@ from .data import (
     load_csv_dataset,
     gen_synthetic,
     shared_data,
+    sharing,
     split_train_test,
     subset,
 )
 from .model import ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
-from .rng import seeded_rng, spawn_seed
+from .rng import generate_states, reseed, seeded_rng, spawn_seed
 from .server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
 
 # Purpose tags for seed derivation (dataset tags live in data.py).
@@ -244,9 +250,79 @@ def sample_clients(num_clients: int, sample_ratio: float, round_idx: int, seed: 
         raise ValueError(f"sample_ratio must be in (0, 1], got {sample_ratio}")
     if round_idx < 0:
         raise ValueError(f"round_idx must be >= 0, got {round_idx}")
-    count = max(1, math.floor(sample_ratio * num_clients))
+    count = sample_size(num_clients, sample_ratio)
     picked = seeded_rng(seed, round_idx).choice(num_clients, size=count, replace=False)
     return sorted(int(i) for i in picked)
+
+
+def sample_size(num_clients: int, sample_ratio: float) -> int:
+    """How many clients a round samples: max(1, floor(ratio * N))."""
+    return max(1, math.floor(sample_ratio * num_clients))
+
+
+class Schedule:
+    """A run's random schedule, derived once as arrays.  For rounds
+    r = 1..``rounds`` and the i-th client a round samples:
+
+    - ``ids[r - 1]``: the sampled ids, ``sample_clients(num_clients,
+      sample_ratio, r, spawn_seed(seed, TAG_SAMPLING))``;
+    - ``seeds[r - 1, i]``: its seed, ``spawn_seed(seed, TAG_CLIENT, r,
+      ids[r - 1, i])``;
+    - ``order_words[r - 1, i, e]``: the PCG64 seed words of its batch
+      order in local epoch e, the stream ``seeded_rng(seeds[r - 1, i],
+      TAG_BATCH, e)`` that ``epoch_batches`` shuffles with.
+
+    The arrays are read-only.  ``batch_orders`` draws the orders from one
+    generator that the schedule reuses, so one thread at a time may call
+    it.  A schedule that keeps its orders (one that runs share) derives
+    each order once, and keeps it read-only.
+    """
+
+    def __init__(
+        self,
+        seed: int,
+        num_clients: int,
+        sample_ratio: float,
+        rounds: int,
+        local_epochs: int,
+        keep_orders: bool,
+    ):
+        self._rng = np.random.Generator(np.random.PCG64())
+        self._kept: dict[tuple[int, int, int], tuple[np.ndarray, ...]] | None = (
+            {} if keep_orders else None
+        )
+        count = sample_size(num_clients, sample_ratio)
+        round_col = np.arange(1, rounds + 1, dtype=np.uint64)
+        ids = np.empty((rounds, count), dtype=np.int64)
+        sampling = generate_states([spawn_seed(seed, TAG_SAMPLING), round_col], 4)
+        for row, words in zip(ids, sampling.tolist()):
+            row[:] = reseed(self._rng, words).choice(num_clients, size=count, replace=False)
+        ids.sort(axis=1)
+        keys = [seed, TAG_CLIENT, np.repeat(round_col, count), ids.reshape(-1)]
+        seeds = generate_states(keys, 1).reshape(rounds, count)
+        epochs = np.tile(np.arange(local_epochs, dtype=np.uint64), rounds * count)
+        keys = [np.repeat(seeds.reshape(-1), local_epochs), TAG_BATCH, epochs]
+        order_words = generate_states(keys, 4).reshape(rounds, count, local_epochs, 4)
+        for arr in (ids, seeds, order_words):
+            arr.flags.writeable = False
+        self.ids, self.seeds, self.order_words = ids, seeds, order_words
+
+    def batch_orders(self, round_idx: int, sizes: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
+        """Round ``round_idx``'s batch orders: entry i holds, for each local
+        epoch, the order in which the i-th sampled client, of ``sizes[i]``
+        rows, visits them (``epoch_batches``' shuffle)."""
+        kept = self._kept
+        out = []
+        for i, (n, words) in enumerate(zip(sizes, self.order_words[round_idx - 1].tolist())):
+            orders = None if kept is None else kept.get((round_idx, i, n))
+            if orders is None:
+                orders = tuple(reseed(self._rng, w).permutation(n) for w in words)
+                if kept is not None:
+                    for order in orders:
+                        order.flags.writeable = False
+                    kept[round_idx, i, n] = orders
+            out.append(orders)
+        return out
 
 
 def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
@@ -279,12 +355,28 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
     def build() -> PreparedData:
         full = build_dataset(cfg.data, cfg.seed)
-        train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
+        try:
+            train, test = split_train_test(full, cfg.data.test_fraction, cfg.seed)
+        except ValueError as exc:
+            # Only a CSV can leave the test split empty: synthetic data
+            # has at least two samples a class.
+            raise ValueError(f"{cfg.data.path}: {exc}") from None
         partition = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
         shards = tuple(subset(train, idx) for idx in partition.assignment)
         return PreparedData(train, partition, shards, test)
 
     return _memo(("data", cfg.data, cfg.seed, cfg.num_clients), build)
+
+
+def prepare_schedule(cfg: ExperimentConfig) -> Schedule:
+    """The run's random schedule.
+
+    Inside a ``shared_data()`` block, runs that agree on (seed,
+    ``num_clients``, ``sample_ratio``, ``rounds``, ``local_epochs``) share
+    one, and it keeps the batch orders it derives.
+    """
+    key = (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, cfg.client.local_epochs)
+    return _memo(("schedule", *key), lambda: Schedule(*key, keep_orders=sharing()))
 
 
 class FederatedRun:
@@ -309,7 +401,8 @@ class FederatedRun:
         if cfg.opt_c == "scaf":
             zero = ParamVector.zeros(len(w0))
             self.controls = {cid: zero for cid in range(cfg.num_clients)}
-        self._sampling_seed = spawn_seed(cfg.seed, TAG_SAMPLING)
+        # Derived at the first round, so that set-up stays data and model.
+        self._schedule: Schedule | None = None
         self.metrics: list[RoundMetrics] = []
         self.best_acc = -math.inf
         self.best_params = w0
@@ -330,47 +423,48 @@ class FederatedRun:
             up += 8  # coefficient norm
         return num_selected * (down + up)
 
-    def _train_cohort(
-        self, round_idx: int, ids: Sequence[int]
-    ) -> list[tuple[ClientUpdate, ParamVector | None]]:
-        cfg = self.cfg
-        seeds = []
-        for cid in ids:
-            key = (cfg.seed, TAG_CLIENT, round_idx, cid)
-            seeds.append(_memo(("spawn_seed", *key), lambda: spawn_seed(*key)))
-        scaf = cfg.opt_c == "scaf"
-        return train_cohort(
-            self.spec,
-            self.state.w,
-            [self.shards[cid] for cid in ids],
-            cfg.client,
-            round_idx,
-            ids,
-            seeds,
-            global_c=self.state.c if scaf else None,
-            local_cs=[self.controls[cid] for cid in ids] if scaf else None,
-        )
-
     def run_round(self, round_idx: int) -> RoundMetrics:
-        """Advance one round; raises DivergenceError if any client blows up."""
+        """Advance round ``round_idx`` (1..``rounds``); raises DivergenceError
+        if any client blows up."""
         t0 = time.perf_counter()
         cfg = self.cfg
-        key = (cfg.num_clients, cfg.sample_ratio, round_idx, self._sampling_seed)
-        ids = _memo(("sample_clients", *key), lambda: tuple(sample_clients(*key)))
+        if not 1 <= round_idx <= cfg.rounds:
+            raise ValueError(f"round_idx must be in 1..{cfg.rounds}, got {round_idx}")
+        if self._schedule is None:
+            self._schedule = prepare_schedule(cfg)
+        ids = self._schedule.ids[round_idx - 1].tolist()
+        # Drawn here, before any pool thread starts: the schedule's
+        # generator is shared state.
+        orders = self._schedule.batch_orders(round_idx, [len(self.shards[cid]) for cid in ids])
         # One cohort per pool thread, each cut to the cohort size cap.
         size = min(cohort_size(self.spec.param_count), -(-len(ids) // self.threads))
-        cohorts = [ids[i : i + size] for i in range(0, len(ids), size)]
+        cohorts = [slice(i, i + size) for i in range(0, len(ids), size)]
+        scaf = cfg.opt_c == "scaf"
+
+        def train(part: slice) -> list[tuple[ClientUpdate, ParamVector | None]]:
+            return train_cohort(
+                self.spec,
+                self.state.w,
+                [self.shards[cid] for cid in ids[part]],
+                cfg.client,
+                round_idx,
+                ids[part],
+                orders[part],
+                global_c=self.state.c if scaf else None,
+                local_cs=[self.controls[cid] for cid in ids[part]] if scaf else None,
+            )
+
         if self.threads > 1 and len(cohorts) > 1:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                trained = list(pool.map(lambda part: self._train_cohort(round_idx, part), cohorts))
+                trained = list(pool.map(train, cohorts))
         else:
-            trained = [self._train_cohort(round_idx, part) for part in cohorts]
+            trained = [train(part) for part in cohorts]
         results = [result for part in trained for result in part]
         updates = [upd for upd, _ in results]
 
         try:
             delta = aggregate(updates)
-            if cfg.opt_c == "scaf":
+            if scaf:
                 control_delta = aggregate_control(updates)
                 new_c = ParamVector._own(self.state.c.values + control_delta.values)
                 self.state = replace(self.state, c=new_c)

@@ -25,14 +25,20 @@ def builds(monkeypatch) -> list[int]:
 def derivations(monkeypatch) -> Counter:
     """How often the derivations that runs can share are computed.
 
-    ``client_seed``: a client's ``spawn_seed(seed, TAG_CLIENT, round, cid)``;
-    ``batch_order``: one epoch's shuffle of a shard; ``sample_clients``: one
-    round's client sample; ``client_shard``: one client's shard cut from the
-    training split (``orchestrator.subset``).
+    ``schedule``: one run's random schedule (``orchestrator.Schedule``);
+    ``reseed``: one draw from a schedule's reused generator, a round's
+    client sample or one epoch's batch order; ``client_shard``: one
+    client's shard cut from the training split (``orchestrator.subset``).
+    The reference derivations a run no longer makes are counted too, so
+    that a run that falls back on one shows: ``client_seed``, a client's
+    ``spawn_seed(seed, TAG_CLIENT, round, cid)``; ``batch_order``, one
+    epoch's shuffle of a shard through ``seeded_rng``; ``sample_clients``,
+    one round's client sample.
     """
     counts: Counter = Counter()
     spawn_seed, seeded_rng = orchestrator.spawn_seed, data.seeded_rng
     sample_clients, subset = orchestrator.sample_clients, orchestrator.subset
+    schedule, reseed = orchestrator.Schedule, orchestrator.reseed
 
     def counting_spawn_seed(*keys):
         if keys[1:2] == (orchestrator.TAG_CLIENT,):
@@ -52,8 +58,18 @@ def derivations(monkeypatch) -> Counter:
         counts["client_shard"] += 1
         return subset(ds, indices)
 
+    def counting_schedule(*args, **kwargs):
+        counts["schedule"] += 1
+        return schedule(*args, **kwargs)
+
+    def counting_reseed(gen, words):
+        counts["reseed"] += 1
+        return reseed(gen, words)
+
     monkeypatch.setattr(orchestrator, "spawn_seed", counting_spawn_seed)
     monkeypatch.setattr(data, "seeded_rng", counting_seeded_rng)
     monkeypatch.setattr(orchestrator, "sample_clients", counting_sample_clients)
     monkeypatch.setattr(orchestrator, "subset", counting_subset)
+    monkeypatch.setattr(orchestrator, "Schedule", counting_schedule)
+    monkeypatch.setattr(orchestrator, "reseed", counting_reseed)
     return counts

@@ -132,7 +132,7 @@ def test_data_too_small_to_hold_out_a_test_split_exits_2(tmp_path, capsys):
     )
     assert main(["run", cfg]) == 2
     assert capsys.readouterr().err == (
-        "error: test split is empty: no class has a second sample to hold out\n"
+        f"error: {csv_path}: test split is empty: no class has a second sample to hold out\n"
     )
 
 
@@ -287,11 +287,15 @@ def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
     assert builds == [0, 1]  # 32 cells, 2 seeds
     assert [(c.opt_c, c.opt_s, c.seed) for c in result.cells] == spec.cells()
     # One memo per seed, each seed's cells run together, and a memo holds
-    # one seed's data, 4 samples, 12 client seeds and 24 batch orders.
+    # one seed's data and one schedule, which keeps the batch orders of
+    # 4 rounds x 3 sampled clients, 2 epochs each.
     assert [seed for seed, _, _ in memos] == [0] * 16 + [1] * 16
     assert memos[0][1] is not memos[16][1]
     for seed, memo, size in memos:
-        assert memo is memos[16 * seed][1] and size == 1 + 4 + 12 + 24
+        assert memo is memos[16 * seed][1] and size == 1 + 1
+        (schedule,) = (value for key, value in memo.items() if key[0] == "schedule")
+        assert len(schedule._kept) == 4 * 3
+        assert all(len(orders) == 2 for orders in schedule._kept.values())
     for opt_c, opt_s, seed in spec.cells():
         name = f"{algorithm_name(opt_c, opt_s)}_seed{seed}"
         alone = tmp_path / "alone" / name
@@ -303,12 +307,11 @@ def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
 
 def test_grid_derives_each_seeds_schedule_once(tmp_path, derivations):
     spec = parse_config(csv_grid_config(tmp_path, ALL_OPT_C, ALL_OPT_S, "[0]", local_epochs=2))
-    rounds, sampled, num_clients = 4, 3, 6
-    once = {
-        "client_seed": rounds * sampled,
-        "batch_order": rounds * sampled * 2,
-        "sample_clients": rounds,
-        "client_shard": num_clients,
+    rounds, sampled = 4, 3
+    once = {  # and no reference derivation
+        "schedule": 1,
+        "reseed": rounds + rounds * sampled * 2,  # samples, then 2 epochs' orders
+        "client_shard": 6,
     }
     result = run_grid(spec)
     assert len(result.cells) == 16 and not result.any_diverged
@@ -318,12 +321,12 @@ def test_grid_derives_each_seeds_schedule_once(tmp_path, derivations):
     alone = run_experiment(spec.cell_config("nova", "yogi", 0))
     assert derivations == once
     assert alone.final_state.w.same_bits(result.cells[-1].result.final_state.w)
-    # Pool threads see no memo: each cell derives its client seeds and
-    # batch orders there, and still gives the serial bits.
+    # Pool threads derive nothing: each round's batch orders come from
+    # the seed's schedule before its cohorts go to the pool, and every
+    # cell still gives the serial bits.
     derivations.clear()
     threaded = run_grid(spec, threads=2)
-    per_cell = ("client_seed", "batch_order")
-    assert derivations == {key: 16 * n if key in per_cell else n for key, n in once.items()}
+    assert derivations == once
     for serial, pooled in zip(result.cells, threaded.cells):
         assert pooled.result.final_state.w.same_bits(serial.result.final_state.w)
 
@@ -420,8 +423,25 @@ def test_usage_docstring_lists_each_verbs_options(capsys):
 def test_check_verb(capsys):
     assert main(["check"]) == 0
     printed = capsys.readouterr().out
-    assert "ok   gradients" in printed
+    assert [line.split(":")[0] for line in printed.splitlines()] == [
+        f"ok   {name}" for name, _ in check_mod.CHECKS
+    ]
+    assert "ok   gradients" in printed and "ok   streams" in printed
     assert "FAIL" not in printed
+
+
+def test_check_streams_arm_fails_when_seeding_changes(monkeypatch, capsys):
+    """A numpy whose PCG64 seeded itself from other words would draw other
+    batch orders than the schedule's reused generator."""
+    assert ("streams", check_mod.check_streams) in check_mod.CHECKS
+    seeded_rng = data_mod.seeded_rng
+
+    def reseeded(*keys):
+        return seeded_rng(*keys, 1)
+
+    monkeypatch.setattr(data_mod, "seeded_rng", reseeded)
+    assert main(["check"]) == 1
+    assert "FAIL streams: round 1, client " in capsys.readouterr().out
 
 
 def test_check_cohort_arm_fails_when_stacking_changes_a_bit(monkeypatch, capsys):

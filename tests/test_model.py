@@ -202,6 +202,18 @@ def test_batch_validation():
         Batch(np.zeros(4), np.array([0]))
 
 
+def test_batch_shares_int64_labels_read_only_and_leaves_the_callers_writeable():
+    features, labels = np.zeros((3, 2)), np.array([0, 2, 1], dtype=np.int64)
+    batch = Batch(features, labels)
+    for mine, kept in ((features, batch.features), (labels, batch.labels)):
+        assert np.shares_memory(kept, mine)
+        assert not kept.flags.writeable and mine.flags.writeable
+    assert batch.labels.dtype == np.int64
+    # Other integer labels are converted, into a copy.
+    narrow = Batch(features, labels.astype(np.int32))
+    assert narrow.labels.dtype == np.int64 and narrow.labels.tolist() == [0, 2, 1]
+
+
 @pytest.mark.parametrize("spec", [LOGISTIC, MLP_RELU], ids=["logistic", "mlp1"])
 def test_label_past_the_classes_is_rejected(spec):
     params = init_params(spec, 0)

@@ -11,7 +11,7 @@ from fedsim import client as client_mod
 from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig
-from fedsim.data import Dataset, gen_synthetic, split_train_test
+from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
 from fedsim.model import Batch, loss_and_grad
 from fedsim.orchestrator import (
     ALGORITHM_NAMES,
@@ -20,6 +20,9 @@ from fedsim.orchestrator import (
     FederatedRun,
     METRICS_COLUMNS,
     ModelConfig,
+    Schedule,
+    TAG_CLIENT,
+    TAG_SAMPLING,
     algorithm_name,
     load_params,
     prepare_data,
@@ -30,6 +33,7 @@ from fedsim.orchestrator import (
     write_metrics_csv,
 )
 from fedsim.params import ParamVector
+from fedsim.rng import spawn_seed
 from fedsim.server import ServerConfig
 
 
@@ -110,6 +114,41 @@ def test_sample_clients_validation():
         sample_clients(10, 0.0, 1, 0)
     with pytest.raises(ValueError):
         sample_clients(10, 1.5, 1, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 1, 2**64 + 9])
+def test_schedule_is_what_the_reference_functions_derive_round_by_round(seed):
+    """Sampled ids, client seeds and every epoch's batch order, for seeds
+    of one, two and three words; a shard may be smaller or larger than
+    a batch."""
+    rounds, epochs, batch_size = 5, 3, 4
+    schedule = Schedule(seed, 7, 0.4, rounds, epochs, False)
+    assert schedule.ids.shape == schedule.seeds.shape == (rounds, 2)
+    assert schedule.order_words.shape == (rounds, 2, epochs, 4)
+    sampling = spawn_seed(seed, TAG_SAMPLING)
+    sizes = [1, 3, 4, 9, 16, 17, 40]  # client id -> shard size
+    for r in range(1, rounds + 1):
+        ids = sample_clients(7, 0.4, r, sampling)
+        assert schedule.ids[r - 1].tolist() == ids
+        seeds = [spawn_seed(seed, TAG_CLIENT, r, cid) for cid in ids]
+        assert schedule.seeds[r - 1].tolist() == seeds
+        got = schedule.batch_orders(r, [sizes[cid] for cid in ids])
+        for cid, client_seed, orders in zip(ids, seeds, got):
+            rows = np.arange(sizes[cid])
+            want = [
+                np.concatenate(epoch_batches(rows, batch_size, e, client_seed))
+                for e in range(epochs)
+            ]
+            assert [o.tolist() for o in orders] == [w.tolist() for w in want]
+
+
+def test_run_round_outside_the_configured_rounds_is_refused():
+    run = FederatedRun(tiny_config(rounds=3))
+    for round_idx in (0, -1, 4):
+        with pytest.raises(ValueError, match=r"^round_idx must be in 1\.\.3, got "):
+            run.run_round(round_idx)
+    assert run.run_round(3).round_idx == 3
+    assert not run.metrics[:-1]  # the refused rounds left no trace
 
 
 # ------------------------------------------------------------------ reference equivalences
@@ -319,15 +358,20 @@ def test_shared_values_are_read_only_and_named_by_their_whole_input():
     with shared_data():
         shared = run_experiment(cfg)
         memo = data_mod._shared.get()
-    assert {key[0] for key in memo} == {"data", "sample_clients", "spawn_seed", "batch_order"}
+    assert {key[0] for key in memo} == {"data", "schedule"}
     for key, value in memo.items():
-        if isinstance(value, np.ndarray):  # a batch order: (seed, epoch, shard size)
-            assert key[0] == "batch_order" and not value.flags.writeable
-            assert sorted(value.tolist()) == list(range(key[3]))
-        elif isinstance(value, tuple):  # a round's sampled ids
-            assert key[0] == "sample_clients" and all(type(i) is int for i in value)
-        elif isinstance(value, int):
-            assert key[0] == "spawn_seed"
+        if key[0] == "schedule":  # (seed, num_clients, sample_ratio, rounds, local_epochs)
+            assert isinstance(value, orchestrator_mod.Schedule)
+            assert key[1:] == (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, 2)
+            for arr in (value.ids, value.seeds, value.order_words):
+                assert not arr.flags.writeable
+            assert len(value._kept) == cfg.rounds * len(value.ids[0])
+            for (round_idx, _, n), orders in value._kept.items():  # one per epoch
+                assert 1 <= round_idx <= cfg.rounds and len(orders) == 2
+                for order in orders:
+                    assert not order.flags.writeable
+                    assert sorted(order.tolist()) == list(range(n))
+            assert all(type(i) is int for rm in shared.metrics for i in rm.selected)
         else:
             assert key[0] == "data"
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -469,12 +513,13 @@ def test_experiment_config_validation():
 
 
 def test_traced_benchmark_hooks_hold(monkeypatch):
-    """The hooks the traced benchmark wraps: one ``epoch_batches`` per
-    client epoch, reached through ``fedsim.client``; one
-    ``update_control_variate`` per scaf client, reached the same way;
-    one ``aggregate`` and one ``server_step`` per round, plus one
-    ``aggregate_control`` per scaf round, all reached through
-    ``fedsim.orchestrator``; ``threads`` passed positionally."""
+    """The hooks the traced benchmark wraps: one
+    ``update_control_variate`` per scaf client, reached through
+    ``fedsim.client``; one ``aggregate`` and one ``server_step`` per
+    round, plus one ``aggregate_control`` per scaf round, all reached
+    through ``fedsim.orchestrator``; ``threads`` passed positionally.
+    ``fedsim.client.epoch_batches`` stays wrappable, but a run calls it
+    no more: its batch orders come from the run's schedule."""
     calls = []
 
     def counting(name, fn):
@@ -496,9 +541,6 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
         scaf = opt_c == "scaf"
         expected = []
         for rm in result.metrics:
-            # A cohort draws every client's batches (two epochs each)
-            # before it finishes any client.
-            expected += ["epoch_batches"] * 2 * len(rm.selected)
             expected += ["update_control_variate"] * len(rm.selected) if scaf else []
             expected += ["aggregate", "aggregate_control"] if scaf else ["aggregate"]
             expected += ["server_step"]
