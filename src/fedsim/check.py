@@ -137,9 +137,7 @@ def check_determinism() -> str:
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     _require(a.final_state.w.same_bits(b.final_state.w), "reruns disagree")
-    c = run_experiment(cfg, threads=4)
-    _require(a.final_state.w.same_bits(c.final_state.w), "thread count changed results")
-    return "rerun and 4-thread run are byte-identical"
+    return "rerun is byte-identical"
 
 
 def _same_result(got, want) -> bool:

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-    fedsim run CONFIG [--out DIR] [--seed N] [--threads N]
-    fedsim grid CONFIG [--out DIR] [--seed N] [--threads N]
+    fedsim run CONFIG [--out DIR] [--seed N]
+    fedsim grid CONFIG [--out DIR] [--seed N]
     fedsim partition-stats CONFIG [--seed N]
     fedsim check
 
@@ -55,7 +55,10 @@ class GridResult:
 
 
 def _best_acc_at(result: ExperimentResult, round_idx: int) -> float:
-    """Best-so-far test accuracy recorded at a checkpoint round."""
+    """Best-so-far test accuracy recorded at a checkpoint round.  Round 0,
+    a zero-round run's only checkpoint, is the initial evaluation."""
+    if round_idx == 0:
+        return result.best_acc
     for rm in result.metrics:
         if rm.round_idx == round_idx and rm.best_acc is not None:
             return rm.best_acc
@@ -65,7 +68,6 @@ def _best_acc_at(result: ExperimentResult, round_idx: int) -> float:
 def run_grid(
     spec: GridSpec,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     include_timing: bool = True,
     progress=None,
 ) -> GridResult:
@@ -91,9 +93,7 @@ def run_grid(
                     continue
                 cfg = spec.cell_config(opt_c, opt_s, seed)
                 cell_dir = out / f"{algorithm_name(opt_c, opt_s)}_seed{seed}" if out else None
-                result = run_experiment(
-                    cfg, out_dir=cell_dir, threads=threads, include_timing=include_timing
-                )
+                result = run_experiment(cfg, out_dir=cell_dir, include_timing=include_timing)
                 cell = done[opt_c, opt_s, seed] = GridCell(opt_c, opt_s, seed, result)
                 if progress is not None:
                     progress(cell)
@@ -201,9 +201,7 @@ def _cmd_run(args) -> int:
         return 2
     cfg = parsed if args.seed is None else replace(parsed, seed=args.seed)
     print(f"{cfg.algorithm} (opt_c={cfg.opt_c}, opt_s={cfg.opt_s}, seed={cfg.seed})")
-    result = run_experiment(
-        cfg, out_dir=args.out, threads=args.threads, on_round=_print_round
-    )
+    result = run_experiment(cfg, out_dir=args.out, on_round=_print_round)
     if result.diverged:
         print(f"status: {result.status} ({result.error})")
         return 1
@@ -221,7 +219,7 @@ def _cmd_grid(args) -> int:
         state = "diverged" if cell.result.diverged else f"best_acc {cell.result.best_acc:.4f}"
         print(f"{algorithm_name(cell.opt_c, cell.opt_s):>12} seed {cell.seed}: {state}")
 
-    grid_result = run_grid(spec, out_dir=args.out, threads=args.threads, progress=progress)
+    grid_result = run_grid(spec, out_dir=args.out, progress=progress)
     if args.out:
         print(f"report: {Path(args.out) / 'report.csv'}")
     if grid_result.any_diverged:
@@ -263,7 +261,7 @@ def _cmd_check(args) -> int:
     return 0 if run_checks() else 1
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim",
         description="Deterministic federated-learning simulator.",
@@ -275,7 +273,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if out_help is not None:
             p.add_argument("--out", default=None, help=out_help)
-            p.add_argument("--threads", type=int, default=1, help="client-training threads")
 
     p_run = sub.add_parser("run", help="run a single experiment")
     add_common(p_run, "directory for metrics and model files")
@@ -291,8 +288,11 @@ def main(argv: list[str] | None = None) -> int:
 
     p_check = sub.add_parser("check", help="run built-in numerical self checks")
     p_check.set_defaults(fn=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

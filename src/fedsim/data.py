@@ -56,8 +56,7 @@ def shared_data() -> Iterator[None]:
     local epoch (8 bytes x rounds x sampled samples x local epochs),
     which is why ``run_grid`` opens one block per seed.  Ending with the
     block, it reads a data file rewritten between two blocks again; an
-    outer block's memo is restored on exit.  Threads other than the one
-    that opened the block see no memo.
+    outer block's memo is restored on exit.
     """
     token = _shared.set({})
     try:

@@ -7,22 +7,18 @@ train locally, aggregate deltas, and step the server optimizer.
 
 Clients are pure functions of (round-start state, shard, config, batch
 orders), and every random stream is keyed by purpose tags, so a run is a
-pure function of its config: rerunning, or distributing clients over a
-thread pool, reproduces results bit for bit.  A run derives its random
-schedule (``Schedule``: every round's client sample, every client's seed
-and batch orders) as arrays at its first round, to the bits of
-``sample_clients``, ``spawn_seed`` and ``epoch_batches``.  A round trains
-its sampled clients as cohorts (``client.train_cohort``), cut to the
-cohort size cap; with a thread pool, each thread trains a contiguous
-chunk of the round's clients as its own cohort, on batch orders the
-calling thread derived.
+pure function of its config: rerunning reproduces results bit for bit.
+A run derives its random schedule (``Schedule``: every round's client
+sample, every client's seed and batch orders) as arrays at its first
+round, to the bits of ``sample_clients``, ``spawn_seed`` and
+``epoch_batches``.  A round trains its sampled clients in order as
+cohorts (``client.train_cohort``), cut to the cohort size cap.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -273,9 +269,8 @@ class Schedule:
       TAG_BATCH, e)`` that ``epoch_batches`` shuffles with.
 
     The arrays are read-only.  ``batch_orders`` draws the orders from one
-    generator that the schedule reuses, so one thread at a time may call
-    it.  A schedule that keeps its orders (one that runs share) derives
-    each order once, and keeps it read-only.
+    generator that the schedule reuses.  A schedule that keeps its orders
+    (one that runs share) derives each order once, and keeps it read-only.
     """
 
     def __init__(
@@ -383,10 +378,10 @@ class FederatedRun:
     """Owns all mutable state of one experiment; advance it round by round."""
 
     def __init__(self, cfg: ExperimentConfig, threads: int = 1):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+        # Clients train serially; `threads` goes with ROADMAP item 1's bench change.
+        if threads != 1:
+            raise ValueError(f"threads must be 1, got {threads}")
         self.cfg = cfg
-        self.threads = threads
         data = prepare_data(cfg)
         self.partition = data.partition
         self.spec = cfg.model.spec(data.train.dim, data.train.num_classes)
@@ -433,33 +428,23 @@ class FederatedRun:
         if self._schedule is None:
             self._schedule = prepare_schedule(cfg)
         ids = self._schedule.ids[round_idx - 1].tolist()
-        # Drawn here, before any pool thread starts: the schedule's
-        # generator is shared state.
         orders = self._schedule.batch_orders(round_idx, [len(self.shards[cid]) for cid in ids])
-        # One cohort per pool thread, each cut to the cohort size cap.
-        size = min(cohort_size(self.spec.param_count), -(-len(ids) // self.threads))
-        cohorts = [slice(i, i + size) for i in range(0, len(ids), size)]
+        size = cohort_size(self.spec.param_count)
         scaf = cfg.opt_c == "scaf"
-
-        def train(part: slice) -> list[tuple[ClientUpdate, ParamVector | None]]:
-            return train_cohort(
+        results: list[tuple[ClientUpdate, ParamVector | None]] = []
+        for i in range(0, len(ids), size):
+            part = ids[i : i + size]
+            results += train_cohort(
                 self.spec,
                 self.state.w,
-                [self.shards[cid] for cid in ids[part]],
+                [self.shards[cid] for cid in part],
                 cfg.client,
                 round_idx,
-                ids[part],
-                orders[part],
+                part,
+                orders[i : i + size],
                 global_c=self.state.c if scaf else None,
-                local_cs=[self.controls[cid] for cid in ids[part]] if scaf else None,
+                local_cs=[self.controls[cid] for cid in part] if scaf else None,
             )
-
-        if self.threads > 1 and len(cohorts) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                trained = list(pool.map(train, cohorts))
-        else:
-            trained = [train(part) for part in cohorts]
-        results = [result for part in trained for result in part]
         updates = [upd for upd, _ in results]
 
         try:
@@ -565,12 +550,11 @@ class FederatedRun:
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    threads: int = 1,
     on_round: Callable[[FederatedRun, RoundMetrics], None] | None = None,
     include_timing: bool = True,
 ) -> ExperimentResult:
     """Build a run from the config and execute it end to end."""
-    return FederatedRun(cfg, threads=threads).run(
+    return FederatedRun(cfg).run(
         out_dir=out_dir, on_round=on_round, include_timing=include_timing
     )
 

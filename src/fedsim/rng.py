@@ -4,7 +4,7 @@ Every source of randomness in the simulator is keyed by a tuple of
 non-negative integers (base seed plus purpose/round/client tags) fed
 through ``numpy.random.SeedSequence``.  Distinct key tuples yield
 well-separated streams, and the same tuple always yields the same
-stream regardless of call order, thread count, or platform.
+stream regardless of call order or platform.
 
 ``seeded_rng`` and ``spawn_seed`` derive one key's stream through numpy
 itself and are the reference.  A run derives its many keys as arrays,

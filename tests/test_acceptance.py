@@ -17,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from fedsim import client as client_mod
 from fedsim import (
     Batch,
     ClientConfig,
@@ -459,10 +460,11 @@ def test_criterion_8_desk_scale_benchmark(desk_benchmark):
     assert desk_benchmark.elapsed < 600.0
 
 
-def test_criterion_9_determinism(desk_benchmark, tmp_path):
+def test_criterion_9_determinism(desk_benchmark, tmp_path, monkeypatch):
     """Re-running every benchmark cell reproduces its metrics CSV byte
-    for byte and its final parameters bit for bit; running clients on a
-    thread pool instead of serially changes nothing either."""
+    for byte and its final parameters bit for bit; training each round's
+    clients in cohorts of one instead of one cohort changes nothing
+    either."""
     for (opt_c, opt_s, seed), (result, csv_bytes) in desk_benchmark.runs.items():
         rerun_dir = tmp_path / f"rerun_{opt_c}_{opt_s}_{seed}"
         rerun = run_experiment(
@@ -471,11 +473,12 @@ def test_criterion_9_determinism(desk_benchmark, tmp_path):
         assert (rerun_dir / "metrics.csv").read_bytes() == csv_bytes
         assert rerun.final_state.w.same_bits(result.final_state.w)
 
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
     for opt_c, opt_s in BENCH_PAIRS:
-        par_dir = tmp_path / f"parallel_{opt_c}_{opt_s}"
-        parallel = run_experiment(
-            bench_config(opt_c, opt_s, 0), out_dir=par_dir, threads=4, include_timing=False
+        split_dir = tmp_path / f"split_{opt_c}_{opt_s}"
+        split = run_experiment(
+            bench_config(opt_c, opt_s, 0), out_dir=split_dir, include_timing=False
         )
-        serial_result, serial_bytes = desk_benchmark.runs[(opt_c, opt_s, 0)]
-        assert (par_dir / "metrics.csv").read_bytes() == serial_bytes
-        assert parallel.final_state.w.same_bits(serial_result.final_state.w)
+        whole_result, whole_bytes = desk_benchmark.runs[(opt_c, opt_s, 0)]
+        assert (split_dir / "metrics.csv").read_bytes() == whole_bytes
+        assert split.final_state.w.same_bits(whole_result.final_state.w)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import os
@@ -14,7 +15,7 @@ import pytest
 import fedsim
 from fedsim import check as check_mod
 from fedsim import data as data_mod
-from fedsim.cli import GridResult, emit_report, main, run_grid
+from fedsim.cli import GridResult, _parser, emit_report, main, run_grid
 from fedsim.config import parse_config
 from fedsim.orchestrator import algorithm_name, run_experiment
 
@@ -67,12 +68,27 @@ def test_run_seed_override_changes_model(tmp_path):
     assert (a / "model_final.bin").read_bytes() != (c / "model_final.bin").read_bytes()
 
 
-def test_run_threads_flag_keeps_results_identical(tmp_path):
+def test_run_threads_flag_is_unknown(tmp_path, capsys):
     cfg = write_config(tmp_path)
-    a, b = tmp_path / "a", tmp_path / "b"
-    main(["run", cfg, "--out", str(a)])
-    main(["run", cfg, "--out", str(b), "--threads", "4"])
-    assert (a / "model_final.bin").read_bytes() == (b / "model_final.bin").read_bytes()
+    with pytest.raises(SystemExit) as usage:
+        main(["run", cfg, "--out", str(tmp_path / "out"), "--threads", "4"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+
+
+def test_cli_surface_is_pinned():
+    """Each verb's option strings; a new knob takes a deliberate edit here."""
+    (verbs,) = [a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        verb: sorted(s for a in p._actions for s in a.option_strings if s not in ("-h", "--help"))
+        for verb, p in verbs.items()
+    }
+    assert options == {
+        "run": ["--out", "--seed"],
+        "grid": ["--out", "--seed"],
+        "partition-stats": ["--seed"],
+        "check": [],
+    }
 
 
 def test_run_diverged_exits_nonzero(tmp_path, capsys):
@@ -228,6 +244,19 @@ def test_grid_survives_diverging_cells_and_exits_nonzero(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_zero_round_grid_reports_the_initial_accuracy(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path, TINY.replace("rounds: 4", "rounds: 0") + "grid:\n  opt_c: [sgd]\n  opt_s: [sgd]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["grid", cfg, "--out", str(out)]) == 0
+    printed = re.search(r"FedAvg seed 0: best_acc (\S+)", capsys.readouterr().out).group(1)
+    for report in ("report.csv", "report_per_seed.csv"):
+        header, row = read_csv(out / report)
+        cell = row[header.index("best_acc_round_0")]
+        assert f"{float(cell):.4f}" == printed, report
+
+
 def test_grid_seed_override(tmp_path):
     cfg = write_config(tmp_path, TINY + "grid:\n  opt_c: [sgd]\n  opt_s: [sgd]\n  seeds: [0, 1]\n")
     out = tmp_path / "out"
@@ -321,14 +350,6 @@ def test_grid_derives_each_seeds_schedule_once(tmp_path, derivations):
     alone = run_experiment(spec.cell_config("nova", "yogi", 0))
     assert derivations == once
     assert alone.final_state.w.same_bits(result.cells[-1].result.final_state.w)
-    # Pool threads derive nothing: each round's batch orders come from
-    # the seed's schedule before its cohorts go to the pool, and every
-    # cell still gives the serial bits.
-    derivations.clear()
-    threaded = run_grid(spec, threads=2)
-    assert derivations == once
-    for serial, pooled in zip(result.cells, threaded.cells):
-        assert pooled.result.final_state.w.same_bits(serial.result.final_state.w)
 
 
 def test_grid_rereads_a_rewritten_csv(tmp_path):

@@ -231,15 +231,21 @@ def test_best_acc_is_running_max():
     assert all(b >= a for a, b in zip(accs, bests))
 
 
-def test_rerun_and_thread_count_are_bit_identical():
+def test_rerun_and_cohorts_of_one_are_bit_identical(monkeypatch):
     cfg = tiny_config(client=ClientConfig(opt_c="scaf", batch_size=8),
                       server=ServerConfig(opt_s="yogi"))
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    c = run_experiment(cfg, threads=4)
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
+    c = run_experiment(cfg)
     assert a.final_state.w.same_bits(b.final_state.w)
     assert a.final_state.w.same_bits(c.final_state.w)
     assert [m.train_loss for m in a.metrics] == [m.train_loss for m in c.metrics]
+
+
+def test_clients_train_on_one_thread_only():
+    with pytest.raises(ValueError, match="threads must be 1, got 2"):
+        FederatedRun(tiny_config(), 2)
 
 
 def test_cohorts_cut_by_the_byte_cap_give_the_same_bits(monkeypatch):
