@@ -28,6 +28,7 @@ from .orchestrator import (
     TAG_SAMPLING,
     FederatedRun,
     Schedule,
+    prepare_schedule,
     run_experiment,
     sample_clients,
 )
@@ -152,28 +153,28 @@ def _same_result(got, want) -> bool:
 
 
 def check_cohort() -> str:
-    """Clients trained side by side in one cohort match each one trained
-    alone, bit for bit; stacking must not change a bit on this numpy/BLAS."""
+    """A run's first round, trained side by side on its schedule's batch
+    orders, matches each client trained alone on its schedule seed, bit
+    for bit; stacking must not change a bit on this numpy/BLAS."""
     base = _tiny_config()
-    ids = sample_clients(base.num_clients, base.sample_ratio, 1, base.seed)
-    seeds = [spawn_seed(base.seed, 1, cid) for cid in ids]
+    run = FederatedRun(replace(base, client=replace(base.client, local_epochs=2)))
+    schedule = prepare_schedule(run.cfg)
+    ids, seeds = schedule.ids[0].tolist(), schedule.seeds[0].tolist()
+    shards = [run.shards[cid] for cid in ids]
+    orders = schedule.batch_orders(1, [len(shard) for shard in shards])
     rng = np.random.default_rng(4)
     for opt_c in CLIENT_OPTIMIZERS:
-        cfg = replace(base, client=replace(base.client, opt_c=opt_c, local_epochs=2))
-        run = FederatedRun(cfg)
-        shards = [run.shards[cid] for cid in ids]
+        client = replace(run.cfg.client, opt_c=opt_c)
         global_c, local_cs = None, [None] * len(ids)
         if opt_c == "scaf":
             global_c, *local_cs = (
                 ParamVector(0.01 * rng.normal(size=run.spec.param_count)) for _ in range(len(ids) + 1)
             )
         cohort = train_cohort(
-            run.spec, run.state.w, shards, cfg.client, 1, ids, seeds, global_c, local_cs
+            run.spec, run.state.w, shards, client, 1, ids, orders, global_c, local_cs
         )
         for cid, got, shard, seed, local_c in zip(ids, cohort, shards, seeds, local_cs):
-            alone = local_train(
-                run.spec, run.state.w, shard, cfg.client, 1, cid, seed, global_c, local_c
-            )
+            alone = local_train(run.spec, run.state.w, shard, client, 1, cid, seed, global_c, local_c)
             _require(_same_result(got, alone), f"{opt_c}: client {cid} differs in a cohort from alone")
     return f"{len(ids)} clients in a cohort match each alone for {', '.join(CLIENT_OPTIMIZERS)}"
 
@@ -238,14 +239,12 @@ CHECKS = (
 )
 
 
-def run_checks(verbose: bool = True) -> bool:
+def run_checks() -> bool:
     """Run every check; print one line each; True when all pass."""
     all_ok = True
     for name, fn in CHECKS:
         try:
-            detail = fn()
-            if verbose:
-                print(f"ok   {name}: {detail}")
+            print(f"ok   {name}: {fn()}")
         except CheckFailure as exc:
             all_ok = False
             print(f"FAIL {name}: {exc}")

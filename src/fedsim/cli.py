@@ -75,14 +75,10 @@ def run_grid(
 
     The cells run seed by seed, each seed inside its own ``shared_data()``
     block, so the sweep derives what one seed's cells share once: the
-    dataset, split, partition and client shards (per distinct data
-    section and ``num_clients``) and the random schedule, which holds
-    each round's client sample, each client's seed and the batch orders
-    it has drawn.  Only one seed's values are held at a time (besides the
-    data, about 8 bytes per sampled sample per local epoch per round, and
-    48 bytes per sampled client per round for the schedule's arrays,
-    with one local epoch).  Each cell gives the same bits as a run of its
-    config alone, and the result lists the cells in spec order.
+    prepared data and the random schedule.  Only one seed's values are
+    held at a time (``shared_data`` gives their size).  Each cell gives
+    the same bits as a run of its config alone, and the result lists the
+    cells in spec order.
     """
     out = Path(out_dir) if out_dir is not None else None
     done: dict[tuple[str, str, int], GridCell] = {}

@@ -32,12 +32,12 @@ group, and partial last batches are grouped by their size.  Each group
 takes one stacked ``loss_and_grad_rows`` call, and the step formulas
 above apply row-wise.  Every client keeps its own batch orders, one
 shuffle of its rows per epoch, which the caller passes in: a run takes
-them from its schedule (``orchestrator.Schedule``), and ``local_train``
-passes the client's seed, from which ``epoch_batches`` derives them.  A client
-leaves the cohort when its batches run out or its row stops being
-finite.  Each row gets the bits the client would get alone, and a
-divergence names the client and step it would name alone: the first
-diverging client in cohort order.  ``local_train`` is the cohort of one.
+them from its schedule (``orchestrator.Schedule``).  A client leaves the
+cohort when its batches run out or its row stops being finite.  Each row
+gets the bits the client would get alone, and a divergence names the
+client and step it would name alone: the first diverging client in
+cohort order.  ``local_train`` is the cohort of one, whose orders
+``epoch_batches`` derives from the client's seed: the reference path.
 ``COHORT_BYTES`` caps a cohort's (clients x P) arrays, so a wide model
 trains in cohorts of one.
 """
@@ -190,11 +190,17 @@ def local_train(
 
     The new control variate is None unless opt_c == "scaf".  Raises
     DivergenceError, naming ``client_id``, as soon as any step yields
-    non-finite parameters.  This is ``train_cohort`` for a cohort of one.
+    non-finite parameters.  This is ``train_cohort`` for a cohort of one,
+    with epoch e's batch order drawn by ``epoch_batches`` from ``seed``.
     """
+    rows = np.arange(len(shard))
+    orders = [
+        np.concatenate(epoch_batches(rows, cfg.batch_size, epoch, seed))
+        for epoch in range(cfg.local_epochs)
+    ]
     local_cs = None if local_c is None else [local_c]
     return train_cohort(
-        spec, global_w, [shard], cfg, round_idx, [client_id], [seed], global_c, local_cs
+        spec, global_w, [shard], cfg, round_idx, [client_id], [orders], global_c, local_cs
     )[0]
 
 
@@ -210,19 +216,18 @@ def train_cohort(
     cfg: ClientConfig,
     round_idx: int,
     ids: Sequence[int],
-    orders: Sequence[int | Sequence[np.ndarray]],
+    orders: Sequence[Sequence[np.ndarray]],
     global_c: ParamVector | None = None,
     local_cs: Sequence[ParamVector] | None = None,
 ) -> list[tuple[ClientUpdate, ParamVector | None]]:
     """Run one round of local training for every shard, side by side.
 
     ``orders[i]`` holds shard i's batch order of each local epoch, a
-    permutation of its row indices, or is the seed that ``epoch_batches``
-    shuffles them with.  Entry i is what ``local_train`` returns for shard
-    i, client id ``ids[i]``, control variate i and a seed of those orders
-    alone, bit for bit.  If clients diverge, the DivergenceError raised
-    is that of the first of them in ``shards`` order, as if they had
-    trained one after another.
+    permutation of its row indices.  Entry i is what ``local_train``
+    returns for shard i, client id ``ids[i]``, control variate i and a
+    seed whose ``epoch_batches`` give those orders, bit for bit.  If
+    clients diverge, the DivergenceError raised is that of the first of
+    them in ``shards`` order, as if they had trained one after another.
     """
     scaf = cfg.opt_c == "scaf"
     if scaf and (global_c is None or local_cs is None):
@@ -251,13 +256,7 @@ def train_cohort(
     order = np.empty((count, max(steps), width), dtype=np.int64)
     offset = 0
     for i, (n, epochs) in enumerate(zip(samples, orders, strict=True)):
-        if isinstance(epochs, (int, np.integer)):
-            indices, seed = np.arange(n), epochs
-            epochs = [
-                np.concatenate(epoch_batches(indices, size, epoch, seed))
-                for epoch in range(cfg.local_epochs)
-            ]
-        elif len(epochs) != cfg.local_epochs:
+        if len(epochs) != cfg.local_epochs:
             raise ValueError(f"need {cfg.local_epochs} batch orders a client, got {len(epochs)}")
         nb = per_epoch[i]
         for epoch, perm in enumerate(epochs):

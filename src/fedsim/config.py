@@ -294,6 +294,8 @@ def _build_experiment(top: dict, lines: dict[str, int]) -> ExperimentConfig:
             sections[name][key] = top.pop(key)
     for name, cls in _SECTIONS.items():
         sections[name] = _construct(cls, sections[name], name, lines)
+    for key, value in top.items():  # a top-level rule is reported at its key
+        _construct(ExperimentConfig, {key: value}, key, lines)
     return _construct(ExperimentConfig, {**sections, **top}, "", lines)
 
 

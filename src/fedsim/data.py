@@ -1,4 +1,4 @@
-"""Datasets, non-IID partitioning, and batch scheduling.
+"""Datasets, non-IID partitioning, batch orders, and CSV loading.
 
 The heterogeneity knob is the standard label-skew construction: for each
 class, a Dirichlet(alpha) draw over clients decides what share of that
@@ -9,11 +9,8 @@ large alpha approaches a uniform IID split.
 from __future__ import annotations
 
 import csv
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
-from contextvars import ContextVar
+import math
 from dataclasses import dataclass
-from typing import TypeVar
 
 import numpy as np
 
@@ -27,63 +24,6 @@ TAG_SYNTH = 1
 TAG_SPLIT = 2
 TAG_PARTITION = 3
 TAG_BATCH = 4
-
-T = TypeVar("T")
-
-# What runs repeat, by input, while a ``shared_data()`` block is open (per
-# thread, like any context variable).
-_shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None)
-
-
-@contextmanager
-def shared_data() -> Iterator[None]:
-    """Within the block, runs derive what they have in common once.
-
-    Runs that agree on (data section, seed, ``num_clients``) share one
-    prepared dataset: split, partition and the client shards, each a
-    ``Dataset`` whose index is its client's id.
-    Runs that agree on (seed, ``num_clients``, ``sample_ratio``,
-    ``rounds``, ``local_epochs``) share one random schedule
-    (``orchestrator.Schedule``): every round's client sample, every
-    client's seed and the batch orders it derives.  Every shared value is
-    immutable or read-only, so no run can change what the next one reads,
-    and each run gives the same bits as outside a block.
-
-    The memo holds it all until the block ends: a prepared dataset per
-    key and a schedule per key.  A schedule takes 8 bytes per sampled
-    client per round for its ids, 8 for its seeds and 32 per local epoch
-    for its seed words, and keeps one int64 index per sampled sample per
-    local epoch (8 bytes x rounds x sampled samples x local epochs),
-    which is why ``run_grid`` opens one block per seed.  Ending with the
-    block, it reads a data file rewritten between two blocks again; an
-    outer block's memo is restored on exit.
-    """
-    token = _shared.set({})
-    try:
-        yield
-    finally:
-        _shared.reset(token)
-
-
-def sharing() -> bool:
-    """Whether a ``shared_data()`` block is open in this thread."""
-    return _shared.get() is not None
-
-
-def _memo(key: tuple, build: Callable[[], T]) -> T:
-    """``build()``; inside a ``shared_data()`` block, only once per ``key``.
-
-    ``key`` must name the derivation and hold its whole input, and the
-    value must be immutable or read-only.
-    """
-    memo = _shared.get()
-    if memo is None:
-        return build()
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = build()
-        return value
 
 
 @dataclass(frozen=True)
@@ -151,8 +91,8 @@ def gen_synthetic(
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     if dim < 1 or samples_per_class < 1:
         raise ValueError("dim and samples_per_class must be >= 1")
-    if not (spread > 0):
-        raise ValueError(f"spread must be positive, got {spread}")
+    if not (0.0 < spread < math.inf):
+        raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = seeded_rng(seed, TAG_SYNTH)
     means = rng.normal(0.0, 1.0, size=(num_classes, dim))
     feats = np.vstack(
@@ -196,8 +136,8 @@ def dirichlet_partition(ds: Dataset, num_clients: int, alpha: float, seed: int) 
     """
     if num_clients < 1:
         raise ValueError(f"num_clients must be >= 1, got {num_clients}")
-    if not (alpha > 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not (0.0 < alpha < math.inf):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if num_clients > len(ds):
         raise ValueError(
             f"num_clients={num_clients} exceeds the {len(ds)} samples "

@@ -19,9 +19,11 @@ from __future__ import annotations
 import csv
 import math
 import time
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,12 +41,9 @@ from .data import (
     TAG_BATCH,
     Dataset,
     Partition,
-    _memo,
     dirichlet_partition,
     load_csv_dataset,
     gen_synthetic,
-    shared_data,
-    sharing,
     split_train_test,
     subset,
 )
@@ -340,6 +339,56 @@ class PreparedData:
     test_batch: Dataset
 
 
+T = TypeVar("T")
+
+# What runs repeat, by input, while a ``shared_data()`` block is open (per
+# thread, like any context variable).
+_shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None)
+
+
+@contextmanager
+def shared_data() -> Iterator[None]:
+    """Within the block, runs derive what they have in common once.
+
+    Runs that agree on (data section, seed, ``num_clients``) share one
+    ``prepare_data`` result.  Runs that agree on (seed, ``num_clients``,
+    ``sample_ratio``, ``rounds``, ``local_epochs``) share one ``Schedule``,
+    which keeps the batch orders it draws.  Every shared value is
+    immutable or read-only, so no run can change what the next one reads,
+    and each run gives the same bits as outside a block.
+
+    The memo holds it all until the block ends.  Besides the data, a
+    schedule takes 8 bytes per sampled client per round for its ids, 8
+    for its seeds and 32 per local epoch for its seed words, and keeps one
+    int64 index per sampled sample per local epoch per round: about 128 kB
+    for 20 rounds of 10 sampled clients of 80 samples, one epoch.  That is
+    why ``run_grid`` opens one block per seed.  Ending with the block, it
+    reads a data file rewritten between two blocks again; an outer
+    block's memo is restored on exit.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
+def _memo(key: tuple, build: Callable[[], T]) -> T:
+    """``build()``; inside a ``shared_data()`` block, only once per ``key``.
+
+    ``key`` must name the derivation and hold its whole input, and the
+    value must be immutable or read-only.
+    """
+    memo = _shared.get()
+    if memo is None:
+        return build()
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = build()
+        return value
+
+
 def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """Build the data, hold out the test split, partition the rest and cut
     one shard per client; a client's id is its shard's index.
@@ -371,7 +420,8 @@ def prepare_schedule(cfg: ExperimentConfig) -> Schedule:
     one, and it keeps the batch orders it derives.
     """
     key = (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, cfg.client.local_epochs)
-    return _memo(("schedule", *key), lambda: Schedule(*key, keep_orders=sharing()))
+    keep_orders = _shared.get() is not None
+    return _memo(("schedule", *key), lambda: Schedule(*key, keep_orders=keep_orders))
 
 
 class FederatedRun:

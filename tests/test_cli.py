@@ -15,6 +15,7 @@ import pytest
 import fedsim
 from fedsim import check as check_mod
 from fedsim import data as data_mod
+from fedsim import orchestrator as orchestrator_mod
 from fedsim.cli import GridResult, _parser, emit_report, main, run_grid
 from fedsim.config import parse_config
 from fedsim.orchestrator import algorithm_name, run_experiment
@@ -156,6 +157,16 @@ def test_non_finite_config_value_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, TINY + "client:\n  weight_decay: .nan\n")
     assert main(["run", cfg]) == 2
     assert "client.weight_decay (line 12): must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("num_clients", "0"), ("sample_ratio", "0.0"), ("rounds", "-1"), ("eval_every", "0"), ("seed", "-1")],
+)
+def test_top_level_rule_names_its_key_and_line(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, f"opt_c: sgd\nclient:\n  lr: 0.1\n{key}: {value}\n")
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key} (line 4): {key} must")
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -309,7 +320,7 @@ def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
     memos = []  # (seed, the open memo, its size) after each cell
 
     def progress(cell):
-        memo = data_mod._shared.get()
+        memo = orchestrator_mod._shared.get()
         memos.append((cell.seed, memo, len(memo)))
 
     result = run_grid(spec, out_dir=tmp_path / "grid", include_timing=False, progress=progress)
@@ -481,6 +492,23 @@ def test_check_cohort_arm_fails_when_stacking_changes_a_bit(monkeypatch, capsys)
     monkeypatch.setattr(check_mod, "train_cohort", one_bit_off)
     assert main(["check"]) == 1
     assert "FAIL cohort: sgd: client" in capsys.readouterr().out
+
+
+def test_check_cohort_arm_trains_on_the_schedules_batch_orders(monkeypatch, capsys):
+    """The cohort arm feeds the run's schedule to the cohort and checks it
+    against ``local_train`` on each client's schedule seed, so a schedule
+    whose orders are not its seeds' ``epoch_batches`` fails it."""
+    real = orchestrator_mod.Schedule.batch_orders
+
+    def one_reversed(self, round_idx, sizes):
+        orders = real(self, round_idx, sizes)
+        first, *rest = orders[0]
+        orders[0] = (first[::-1], *rest)
+        return orders
+
+    monkeypatch.setattr(orchestrator_mod.Schedule, "batch_orders", one_reversed)
+    assert check_mod.run_checks() is False
+    assert "\nFAIL cohort: " in capsys.readouterr().out
 
 
 def test_python_dash_m_fedsim_runs_check():

@@ -60,6 +60,18 @@ def replay(shard: Batch, w0: ParamVector, cfg: ClientConfig, seed: int,
     return w, steps, float(np.mean(losses))
 
 
+def seeded_orders(shards, cfg: ClientConfig, seeds):
+    """Each shard's batch orders, one per local epoch, drawn from its seed
+    by ``epoch_batches`` as ``local_train`` draws them."""
+    return [
+        [
+            np.concatenate(epoch_batches(np.arange(len(shard)), cfg.batch_size, epoch, seed))
+            for epoch in range(cfg.local_epochs)
+        ]
+        for shard, seed in zip(shards, seeds)
+    ]
+
+
 # ------------------------------------------------------------------ config
 
 
@@ -438,7 +450,8 @@ def test_cohort_matches_each_client_alone(spec, opt_c, epochs, option):
         rng = np.random.default_rng(5)
         local_cs = [ParamVector(0.1 * rng.normal(size=len(w0))) for _ in shards]
         controls = dict(global_c=ParamVector(0.1 * rng.normal(size=len(w0))), local_cs=local_cs)
-    cohort = train_cohort(spec, w0, shards, cfg, 2, ids, seeds, **controls)
+    orders = seeded_orders(shards, cfg, seeds)
+    cohort = train_cohort(spec, w0, shards, cfg, 2, ids, orders, **controls)
     assert len(cohort) == len(shards)
     for shard, cid, seed, local_c, got in zip(shards, ids, seeds, local_cs, cohort):
         alone = local_train(
@@ -479,7 +492,7 @@ def test_cohort_raises_the_first_clients_divergence(lr, order, message):
     seeds = [2 + i for i in order]
     cfg = ClientConfig(opt_c="sgd", lr=lr, batch_size=4, local_epochs=2)
     with pytest.raises(DivergenceError) as exc_info:
-        train_cohort(SPEC, w0, shards, cfg, 3, ids, seeds)
+        train_cohort(SPEC, w0, shards, cfg, 3, ids, seeded_orders(shards, cfg, seeds))
     assert str(exc_info.value) == f"divergence at round 3, {message}"
     with pytest.raises(DivergenceError) as alone:
         for shard, cid, seed in zip(shards, ids, seeds):
@@ -490,7 +503,8 @@ def test_cohort_raises_the_first_clients_divergence(lr, order, message):
 def test_batch_size_past_every_shard_trains_each_shard_as_one_batch():
     shards = [make_shard(n, seed=cid) for cid, n in enumerate((5, 9, 2))]
     w0 = init_params(SPEC, 1)
-    huge = train_cohort(SPEC, w0, shards, ClientConfig(batch_size=10**12), 1, [0, 1, 2], [7, 8, 9])
+    cfg = ClientConfig(batch_size=10**12)
+    huge = train_cohort(SPEC, w0, shards, cfg, 1, [0, 1, 2], seeded_orders(shards, cfg, (7, 8, 9)))
     for cid, shard, seed, got in zip((0, 1, 2), shards, (7, 8, 9), huge):
         exact = ClientConfig(batch_size=len(shard))
         assert_same_result(got, local_train(SPEC, w0, shard, exact, 1, cid, seed))
@@ -501,8 +515,9 @@ def test_cohort_needs_one_id_and_one_seed_per_shard():
     shards = [make_shard(n, seed=cid) for cid, n in enumerate((5, 9))]
     w0 = init_params(SPEC, 1)
     for ids, seeds in (([0], [7, 8]), ([0, 1], [7]), ([0, 1, 2], [7, 8])):
+        orders = seeded_orders(shards, ClientConfig(), seeds)
         with pytest.raises(ValueError):
-            train_cohort(SPEC, w0, shards, ClientConfig(), 1, ids, seeds)
+            train_cohort(SPEC, w0, shards, ClientConfig(), 1, ids, orders)
 
 
 def test_cohort_size_caps_a_cohorts_bytes():

@@ -142,9 +142,9 @@ def test_wrong_type_reports_line(tmp_path):
 
 
 def test_semantic_errors_become_config_errors(tmp_path):
-    # A section's own rules are reported at the section and its line; a
-    # top-level field's message already names its key.
-    with pytest.raises(ConfigError, match=r"^sample_ratio must"):
+    # A section's own rules are reported at the section and its line, a
+    # top-level field's at its key and line.
+    with pytest.raises(ConfigError, match=r"^sample_ratio \(line 1\): sample_ratio must"):
         parse_config(write(tmp_path, "sample_ratio: 0.0\n"))
     with pytest.raises(ConfigError, match=r"^client \(line 1\): momentum"):
         parse_config(write(tmp_path, "client:\n  momentum: 1.5\n"))

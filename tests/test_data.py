@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -64,6 +65,9 @@ def test_gen_synthetic_validation():
         gen_synthetic(3, 0, 10, 1.0, 0)
     with pytest.raises(ValueError):
         gen_synthetic(3, 5, 10, 0.0, 0)
+    for spread in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^spread must be positive and finite, got {spread}$"):
+            gen_synthetic(3, 4, 10, spread, 0)
 
 
 # ------------------------------------------------------------------ dataset
@@ -162,6 +166,9 @@ def test_partition_alpha_validation():
         dirichlet_partition(ds, 2, 0.0, seed=0)
     with pytest.raises(ValueError):
         dirichlet_partition(ds, 0, 1.0, seed=0)
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^alpha must be positive and finite, got {alpha}$"):
+            dirichlet_partition(ds, 4, alpha, seed=0)
 
 
 def test_small_alpha_concentrates_labels():

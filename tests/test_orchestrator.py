@@ -8,7 +8,6 @@ import numpy.testing as npt
 import pytest
 
 from fedsim import client as client_mod
-from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig
 from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
@@ -363,7 +362,7 @@ def test_shared_values_are_read_only_and_named_by_their_whole_input():
     cfg = tiny_config(client=ClientConfig(opt_c="scaf", local_epochs=2, batch_size=8))
     with shared_data():
         shared = run_experiment(cfg)
-        memo = data_mod._shared.get()
+        memo = orchestrator_mod._shared.get()
     assert {key[0] for key in memo} == {"data", "schedule"}
     for key, value in memo.items():
         if key[0] == "schedule":  # (seed, num_clients, sample_ratio, rounds, local_epochs)
@@ -383,7 +382,7 @@ def test_shared_values_are_read_only_and_named_by_their_whole_input():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 value.shards = ()
     alone = run_experiment(cfg)
-    assert data_mod._shared.get() is None
+    assert orchestrator_mod._shared.get() is None
     assert alone.final_state.w.same_bits(shared.final_state.w)
 
 
