@@ -454,7 +454,10 @@ class FederatedRun:
         self.last_delta: ParamVector | None = None
 
     def _record_eval(self) -> tuple[float, float, float]:
-        test_loss, test_acc = evaluate(self.spec, self.state.w, self.test_batch)
+        # A blown-up model overflows on the way to its loss, which
+        # ``evaluate`` reports as NonFiniteError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            test_loss, test_acc = evaluate(self.spec, self.state.w, self.test_batch)
         if test_acc > self.best_acc:
             self.best_acc = test_acc
             self.best_params = self.state.w
@@ -506,14 +509,14 @@ class FederatedRun:
                 for upd, new_local in results:
                     self.controls[upd.client_id] = new_local
             self.state = server_step(self.state, delta, cfg.server)
+            test_loss = test_acc = best = None
+            if cfg.is_eval_round(round_idx):
+                test_loss, test_acc, best = self._record_eval()
         except NonFiniteError as exc:
             raise DivergenceError(round_idx, None, None, str(exc)) from exc
         self.last_delta = delta
 
         train_loss = float(np.mean([u.train_loss for u in updates]))
-        test_loss = test_acc = best = None
-        if self.cfg.is_eval_round(round_idx):
-            test_loss, test_acc, best = self._record_eval()
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rm = RoundMetrics(
             round_idx=round_idx,

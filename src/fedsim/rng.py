@@ -6,9 +6,10 @@ through ``numpy.random.SeedSequence``.  Distinct key tuples yield
 well-separated streams, and the same tuple always yields the same
 stream regardless of call order or platform.
 
-``seeded_rng`` and ``spawn_seed`` derive one key's stream through numpy
-itself and are the reference.  A run derives its many keys as arrays,
-to the same bits:
+``seeded_rng`` and ``spawn_seed`` are the reference: they hand the key
+to ``SeedSequence`` as a list of Python ints, so numpy's own code takes
+it from key to stream.  A run derives its many keys as arrays, to the
+same bits:
 
 - ``generate_states`` is ``SeedSequence(key).generate_state(n, uint64)``
   for a column of keys.  ``SeedSequence`` mixes the key's uint32 words
@@ -33,34 +34,24 @@ from collections.abc import Sequence
 import numpy as np
 
 
-def _entropy(keys: tuple) -> np.ndarray:
-    """The key tuple as the uint32 words ``SeedSequence`` makes of a list
-    of ints: each key's little-endian 32-bit words (one word for 0), key
-    after key.  Passing the words directly skips numpy's conversion and
-    gives the same streams."""
+def _key_list(keys: tuple) -> list[int]:
+    """The key tuple as the list of Python ints ``SeedSequence`` takes."""
     if not keys:
         raise ValueError("at least one seed key is required")
-    words = []
     for k in keys:
-        ik = int(k)
-        if ik != k or ik < 0:
+        if int(k) != k or k < 0:
             raise ValueError(f"seed keys must be non-negative integers, got {k!r}")
-        words.append(ik & 0xFFFFFFFF)
-        ik >>= 32
-        while ik:
-            words.append(ik & 0xFFFFFFFF)
-            ik >>= 32
-    return np.array(words, dtype=np.uint32)
+    return [int(k) for k in keys]
 
 
 def seeded_rng(*keys: int) -> np.random.Generator:
     """Return a Generator determined purely by the integer key tuple."""
-    return np.random.default_rng(np.random.SeedSequence(_entropy(keys)))
+    return np.random.default_rng(np.random.SeedSequence(_key_list(keys)))
 
 
 def spawn_seed(*keys: int) -> int:
     """Collapse a key tuple into a single derived seed (uint64 range)."""
-    state = np.random.SeedSequence(_entropy(keys)).generate_state(1, np.uint64)
+    state = np.random.SeedSequence(_key_list(keys)).generate_state(1, np.uint64)
     return int(state[0])
 
 
@@ -120,9 +111,10 @@ def generate_states(keys: Sequence[int | np.ndarray], n_words: int) -> np.ndarra
     """``SeedSequence(key).generate_state(n_words, np.uint64)`` of every
     row's key, as an (N, n_words) uint64 array.
 
-    ``keys`` are the key's columns, in key order: each one a non-negative
-    int that every row shares, or a 1-D array of one non-negative integer
-    per row (an object array of ints for keys of 2**64 and above).
+    ``keys`` are the key's columns, in key order: each one a 1-D array of
+    one non-negative integer per row (an object array of ints for keys of
+    2**64 and above), or a non-negative int, which every row shares and
+    which becomes such a column.
     """
     if not keys:
         raise ValueError("at least one seed key is required")
@@ -133,10 +125,8 @@ def generate_states(keys: Sequence[int | np.ndarray], n_words: int) -> np.ndarra
     every = np.ones(count, dtype=bool)
     for key in keys:
         if not np.ndim(key):
-            for word in _entropy((key,)):
-                words.append(np.full(count, word))
-                valid.append(every)
-            continue
+            (key,) = _key_list((key,))
+            key = np.full(count, key, dtype=np.uint64 if key < 2**64 else object)
         col = np.asarray(key)
         if col.shape != (count,) or col.dtype.kind not in "uiO" or (col < 0).any():
             raise ValueError(f"seed key columns must be {count} non-negative integers")

@@ -169,6 +169,56 @@ def test_top_level_rule_names_its_key_and_line(tmp_path, capsys, key, value):
     assert capsys.readouterr().err.startswith(f"config error: {key} (line 4): {key} must")
 
 
+@pytest.mark.parametrize(
+    "verb, text, message",
+    [
+        ("run", "data: {has_header: 1}\n", "data.has_header (line 1): expected true/false"),
+        ("run", "data: {path: 5}\n", "data.path (line 1): expected a string"),
+        ("run", "data: {label_col: 1.5}\n", "data.label_col (line 1): expected a column index or name"),
+        ("run", "client: 3\n", "client (line 1): expected a mapping of settings"),
+        ("grid", "grid: {seeds: 3}\n", "grid.seeds (line 1): expected a list"),
+        ("grid", "grid: [1]\n", "grid (line 1): expected a mapping of sweep settings"),
+    ],
+)
+def test_wrong_section_value_type_names_its_key_and_line(tmp_path, capsys, verb, text, message):
+    assert main([verb, write_config(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+# The server step lands on finite parameters so large that the test loss
+# overflows: a divergence found by the round's evaluation.
+EVAL_OVERFLOW = """
+opt_s: adam
+num_clients: 4
+sample_ratio: 1.0
+rounds: 3
+eval_every: 1
+server: {server_lr: 6.0e+306}
+data: {num_classes: 3, dim: 50, samples_per_class: 20}
+"""
+
+
+def test_non_finite_test_loss_is_a_divergence(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", write_config(tmp_path, EVAL_OVERFLOW), "--out", str(out)]) == 1
+    assert "status: diverged (divergence at round 1: loss is NaN or Inf)" in capsys.readouterr().out
+    rows = read_csv(out / "metrics.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [("1", "diverged")]
+    final = fedsim.load_params(out / "model_final.bin").values
+    assert np.isfinite(final).all()
+    assert not np.array_equal(final, fedsim.load_params(out / "model_best.bin").values)
+
+
+def test_grid_records_a_non_finite_test_loss_as_a_diverged_cell(tmp_path, capsys):
+    text = EVAL_OVERFLOW + "grid: {opt_c: [sgd], opt_s: [adam, yogi]}\n"
+    out = tmp_path / "out"
+    assert main(["grid", write_config(tmp_path, text), "--out", str(out)]) == 1
+    assert "diverged" in capsys.readouterr().err
+    rows = read_csv(out / "report.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [("FedAdam", "diverged:0"), ("FedYogi", "diverged:0")]
+    assert len(read_csv(out / "report_per_seed.csv")) == 3
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "none.yaml")]) == 2
     assert "error" in capsys.readouterr().err
@@ -555,3 +605,18 @@ def test_every_exported_name_resolves():
     exec("from fedsim import *", namespace)
     assert set(fedsim.__all__) <= namespace.keys()
     assert not hasattr(fedsim, "ClientShard")  # a shard is a Dataset now
+
+
+# ------------------------------------------------------------------ docs
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    algorithm, best_acc, status = capsys.readouterr().out.split()
+    assert (algorithm, status) == ("ScafYogi", "ok")
+    assert 0.0 <= float(best_acc) <= 1.0
+    assert (tmp_path / "out" / "metrics.csv").exists()

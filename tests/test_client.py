@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from fedsim import client as client_mod
 from fedsim.client import (
     ClientConfig,
     DivergenceError,
@@ -18,7 +19,7 @@ from fedsim.client import (
 )
 from fedsim.data import epoch_batches
 from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
-from fedsim.params import ParamVector
+from fedsim.params import NonFiniteError, ParamVector
 from fedsim.server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
 
 SPEC = ModelSpec("logistic", 4, 3)
@@ -407,6 +408,25 @@ def test_divergence_error_carries_location():
     assert err.client_id == 4
     assert err.step is not None and err.step >= 1
     assert "round 7" in str(err) and "client 4" in str(err)
+
+
+def test_non_finite_control_variate_is_the_clients_divergence(monkeypatch):
+    def blow_up(*args, **kwargs):
+        raise NonFiniteError("vector contains NaN or Inf")
+
+    monkeypatch.setattr(client_mod, "update_control_variate", blow_up)
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate((8, 12))]
+    w0 = init_params(SPEC, 0)
+    zero = ParamVector.zeros(len(w0))
+    cfg = ClientConfig(opt_c="scaf", batch_size=4)
+    with pytest.raises(DivergenceError) as exc_info:
+        train_cohort(
+            SPEC, w0, shards, cfg, 5, [6, 9], seeded_orders(shards, cfg, (1, 2)),
+            global_c=zero, local_cs=[zero, zero],
+        )
+    err = exc_info.value
+    assert (err.round_idx, err.client_id, err.step) == (5, 6, 2)
+    assert str(err) == "divergence at round 5, client 6, local step 2: vector contains NaN or Inf"
 
 
 # ------------------------------------------------------------------ cohorts

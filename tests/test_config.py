@@ -49,6 +49,10 @@ def test_empty_config_is_all_defaults(tmp_path):
     assert cfg.server.lr == 1.0  # sgd default
 
 
+def test_null_client_section_is_the_defaults(tmp_path):
+    assert parse_config(write(tmp_path, "client:\n")).client == ClientConfig()
+
+
 def test_full_config_parses(tmp_path):
     cfg = parse_config(
         write(
@@ -389,6 +393,8 @@ def test_grid_rejects_duplicates_and_bad_tokens(tmp_path):
         ({"opt_c": ("sgd", "bogus")}, "unknown opt_c 'bogus'"),
         ({"opt_s": ("bogus",)}, "unknown opt_s 'bogus'"),
         ({"seeds": (0, -1)}, "seed must be >= 0"),
+        ({"opt_c": ()}, "grid must sweep at least one opt_c"),
+        ({"seeds": ()}, "grid must sweep at least one opt_c, opt_s, and seed"),
     ],
 )
 def test_grid_spec_checks_cells_with_run_rules(axis, match):

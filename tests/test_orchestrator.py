@@ -484,6 +484,20 @@ def test_params_save_load_roundtrip(tmp_path):
     assert f"param_count: {len(loaded)}" in meta
 
 
+def test_mlp1_params_meta_names_its_hidden_layer(tmp_path):
+    model = ModelConfig(kind="mlp1", hidden_dim=5, activation="tanh")
+    result = run_experiment(tiny_config(model=model, rounds=1, eval_every=1), out_dir=tmp_path)
+    meta = (tmp_path / "model_final.bin.meta.txt").read_text().splitlines()
+    assert meta[:6] == [
+        "kind: mlp1",
+        "input_dim: 4",
+        "num_classes: 3",
+        "hidden_dim: 5",
+        "activation: tanh",
+        f"param_count: {len(result.final_state.w)}",
+    ]
+
+
 def test_load_params_rejects_corrupt_files(tmp_path):
     good = tmp_path / "p.bin"
     save_params(good, ParamVector([1.0, 2.0]))
