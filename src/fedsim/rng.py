@@ -128,6 +128,9 @@ def generate_states(keys: Sequence[int | np.ndarray], n_words: int) -> np.ndarra
             (key,) = _key_list((key,))
             key = np.full(count, key, dtype=np.uint64 if key < 2**64 else object)
         col = np.asarray(key)
+        # object keys are checked as seeded_rng checks its keys
+        if col.dtype.kind == "O" and col.shape == (count,):
+            col = np.array(_key_list(tuple(col)), dtype=object)
         if col.shape != (count,) or col.dtype.kind not in "uiO" or (col < 0).any():
             raise ValueError(f"seed key columns must be {count} non-negative integers")
         # Word k of a key is there for k == 0 and while it has bits above 32 k.

@@ -17,8 +17,6 @@ first-moment m and second-moment v (both zero-initialized):
     w <- w + server_lr * m / (sqrt(v) + eps)
 
 ``sgd`` is simply w <- w + server_lr * delta and leaves m, v untouched.
-``damped=True`` switches to a damped variant for comparison runs:
-w <- beta1 * w + step, and adam's v update subtracts instead of adding.
 """
 from __future__ import annotations
 
@@ -41,7 +39,6 @@ class ServerConfig:
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
-    damped: bool = False
 
     def __post_init__(self) -> None:
         if self.opt_s not in SERVER_OPTIMIZERS:
@@ -65,18 +62,17 @@ class ServerConfig:
 
 @dataclass(frozen=True)
 class ServerState:
-    """Global params w, control variate c, moments m/v, completed-round count."""
+    """Global params w, control variate c, moments m/v."""
 
     w: ParamVector
     c: ParamVector
     m: ParamVector
     v: ParamVector
-    round_idx: int = 0
 
     @classmethod
     def initial(cls, w: ParamVector) -> "ServerState":
         zero = ParamVector.zeros(len(w))
-        return cls(w=w, c=zero, m=zero, v=zero, round_idx=0)
+        return cls(w=w, c=zero, m=zero, v=zero)
 
 
 def _participant_weights(updates: list[ClientUpdate]) -> np.ndarray:
@@ -132,13 +128,14 @@ def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> Se
     """Apply one server-optimizer update; returns the new state."""
     if len(delta) != len(state.w):
         raise ValueError(f"delta length {len(delta)} does not match params {len(state.w)}")
-    # Overflow or a damped adam's negative v (sqrt -> NaN) yields a
-    # non-finite vector, which ParamVector reports as NonFiniteError
-    # (divergence), so numpy's own warning is redundant.
+    # An overflowing step (and the inf/inf or inf - inf that an adaptive
+    # rule then computes) yields a non-finite vector, which ParamVector
+    # reports as NonFiniteError (divergence), so numpy's own warning is
+    # redundant.
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.opt_s == "sgd":
             new_w = ParamVector._own(state.w.values + cfg.lr * delta.values)
-            return replace(state, w=new_w, round_idx=state.round_idx + 1)
+            return replace(state, w=new_w)
 
         d = delta.values
         m = cfg.beta1 * state.m.values + (1.0 - cfg.beta1) * d
@@ -147,19 +144,12 @@ def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> Se
             v = state.v.values + d2
         elif cfg.opt_s == "yogi":
             v = state.v.values - (1.0 - cfg.beta2) * d2 * np.sign(state.v.values - d2)
-        elif cfg.damped:
-            v = cfg.beta2 * state.v.values - (1.0 - cfg.beta2) * d2
         else:
             v = cfg.beta2 * state.v.values + (1.0 - cfg.beta2) * d2
-        step = cfg.lr * m / (np.sqrt(v) + cfg.eps)
-        if cfg.damped:
-            new_w = cfg.beta1 * state.w.values + step
-        else:
-            new_w = state.w.values + step
+        new_w = state.w.values + cfg.lr * m / (np.sqrt(v) + cfg.eps)
     return replace(
         state,
         w=ParamVector._own(new_w),
         m=ParamVector._own(m),
         v=ParamVector._own(v),
-        round_idx=state.round_idx + 1,
     )

@@ -80,7 +80,6 @@ server:
   beta1: 0.95
   beta2: 0.999
   eps: 1.0e-07
-  damped: true
 
 model:
   kind: mlp1
@@ -100,7 +99,7 @@ data:
     )
     assert cfg.algorithm == "ScafAdam"
     assert cfg.client.control_option == "II"
-    assert cfg.server.lr == 0.01 and cfg.server.damped
+    assert cfg.server.lr == 0.01 and cfg.server.eps == 1.0e-07
     assert cfg.model.kind == "mlp1" and cfg.model.hidden_dim == 12
     assert cfg.data.spread == 1.5
     assert cfg.seed == 3
@@ -252,7 +251,7 @@ SCHEMA = {
         "local_epochs", "batch_size", "lr", "momentum", "weight_decay", "prox_mu",
         "control_option",
     ],
-    "server": ["server_lr", "beta1", "beta2", "eps", "damped"],
+    "server": ["server_lr", "beta1", "beta2", "eps"],
     "model": ["kind", "hidden_dim", "activation"],
     "data": [
         "source", "alpha", "test_fraction", "num_classes", "dim", "samples_per_class",
@@ -279,10 +278,13 @@ def test_float_keys_are_pinned():
     ]
 
 
-@pytest.mark.parametrize("key", ["client.opt_c", "server.opt_s"])
+@pytest.mark.parametrize("key", ["client.opt_c", "server.opt_s", "server.damped"])
 def test_optimizer_keys_are_top_level_only(tmp_path, key):
+    # the optimizers are chosen at the top level only, and the retired
+    # server.damped switch is gone: in a section, each is an unknown key
+    token = "true" if key == "server.damped" else "sgd"
     with pytest.raises(ConfigError, match=re.escape(f"{key} (line 3): unknown key")):
-        parse_config(write(tmp_path, key_text(key, "sgd")[0]))
+        parse_config(write(tmp_path, key_text(key, token)[0]))
 
 
 def test_duplicate_key_rejected(tmp_path):

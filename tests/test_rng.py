@@ -102,7 +102,15 @@ def test_reused_generator_draws_what_a_fresh_one_draws(drawn, n, data):
 
 
 def test_lane_hash_rejects_what_seed_keys_reject():
-    for columns in ([], [-1], [np.array([1, -2])], [np.array([0.5])], [np.zeros((2, 2), int)]):
+    for columns in (
+        [],
+        [-1],
+        [np.array([1, -2])],
+        [np.array([0.5])],
+        [np.zeros((2, 2), int)],
+        [np.array([0.5, 1], dtype=object)],
+        [np.array(["a", 1], dtype=object)],
+    ):
         with pytest.raises(ValueError):
             generate_states(columns, 1)
     with pytest.raises(ValueError):  # columns of different lengths
