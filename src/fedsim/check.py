@@ -154,8 +154,9 @@ def _same_result(got, want) -> bool:
 
 def check_cohort() -> str:
     """A run's first round, trained side by side on its schedule's batch
-    orders, matches each client trained alone on its schedule seed, bit
-    for bit; stacking must not change a bit on this numpy/BLAS."""
+    orders, in schedule order and reversed, matches each client trained
+    alone on its schedule seed, bit for bit; neither stacking on this
+    numpy/BLAS nor the clients' order may change a bit."""
     base = _tiny_config()
     run = FederatedRun(replace(base, client=replace(base.client, local_epochs=2)))
     schedule = prepare_schedule(run.cfg)
@@ -170,13 +171,18 @@ def check_cohort() -> str:
             global_c, *local_cs = (
                 ParamVector(0.01 * rng.normal(size=run.spec.param_count)) for _ in range(len(ids) + 1)
             )
-        cohort = train_cohort(
-            run.spec, run.state.w, shards, client, 1, ids, orders, global_c, local_cs
-        )
-        for cid, got, shard, seed, local_c in zip(ids, cohort, shards, seeds, local_cs):
-            alone = local_train(run.spec, run.state.w, shard, client, 1, cid, seed, global_c, local_c)
-            _require(_same_result(got, alone), f"{opt_c}: client {cid} differs in a cohort from alone")
-    return f"{len(ids)} clients in a cohort match each alone for {', '.join(CLIENT_OPTIMIZERS)}"
+        alone = [
+            local_train(run.spec, run.state.w, shard, client, 1, cid, seed, global_c, local_c)
+            for shard, cid, seed, local_c in zip(shards, ids, seeds, local_cs)
+        ]
+        for way in (slice(None), slice(None, None, -1)):
+            cohort = train_cohort(
+                run.spec, run.state.w, shards[way], client, 1, ids[way], orders[way], global_c, local_cs[way]
+            )
+            for cid, got, want in zip(ids[way], cohort, alone[way]):
+                _require(_same_result(got, want), f"{opt_c}: client {cid} differs in a cohort from alone")
+    mechanisms = ", ".join(CLIENT_OPTIMIZERS)
+    return f"{len(ids)} clients in a cohort, in schedule and reverse order, match each alone for {mechanisms}"
 
 
 def check_streams() -> str:

@@ -26,20 +26,24 @@ switched off (mu = 0, momentum = 0, weight decay = 0) skip their branch
 entirely, so disabling one reproduces the plain path bit for bit.
 
 ``train_cohort`` runs a round's clients side by side.  Their w and u
-are rows of (clients x P) arrays.  At each local step index, the clients
-whose next batch has the same size form a group: full batches form one
-group, and partial last batches are grouped by their size.  Each group
-takes one stacked ``loss_and_grad_rows`` call, and the step formulas
-above apply row-wise.  Every client keeps its own batch orders, one
-shuffle of its rows per epoch, which the caller passes in: a run takes
-them from its schedule (``orchestrator.Schedule``).  A client leaves the
-cohort when its batches run out or its row stops being finite.  Each row
-gets the bits the client would get alone, and a divergence names the
-client and step it would name alone: the first diverging client in
-cohort order.  ``local_train`` is the cohort of one, whose orders
-``epoch_batches`` derives from the client's seed: the reference path.
-``COHORT_BYTES`` caps a cohort's (clients x P) arrays, so a wide model
-trains in cohorts of one.
+are rows of (clients x P) arrays in slot order: most steps first and,
+among equal steps, the larger last batch first, so the clients still
+training at a step are a prefix of the rows.  At each local step, the
+live clients whose next batch has the same size form a group (a run of
+rows under one local epoch): full batches form one group, and partial
+last batches are grouped by their size.  Each group takes one stacked
+``loss_and_grad_rows`` call into the cohort's gradient rows, and the
+step formulas above then run once on the live prefix.  Every client
+keeps its own batch orders, one shuffle of its rows per epoch, which the
+caller passes in: a run takes them from its schedule.  A row that stops
+being finite keeps its slot; its first divergence is kept and its later
+values are thrown away (their warnings stay inside ``np.errstate``).
+Results and errors come back in the caller's order: each row gets the
+bits the client would get alone, and a divergence is the one training
+the clients one after another would raise.  ``local_train`` is the
+cohort of one, whose orders ``epoch_batches`` derives from the client's
+seed: the reference path.  ``COHORT_BYTES`` caps a cohort's (clients x
+P) arrays, so a wide model trains in cohorts of one.
 """
 from __future__ import annotations
 
@@ -149,7 +153,7 @@ def update_control_variate(
     spec: ModelSpec,
     shard: Batch,
     global_w: ParamVector,
-    local_w: ParamVector,
+    local_w: ParamVector | None,
     global_c: ParamVector,
     local_c: ParamVector,
     steps: int,
@@ -158,9 +162,9 @@ def update_control_variate(
     """New client control variate.
 
     Option I re-evaluates the full gradient over ``shard`` at the
-    round-start global params (one extra pass, no stale terms).  Option
-    II reuses quantities already computed: c_local - c_global +
-    (w_global - w_local) / (steps * lr).
+    round-start global params (one extra pass, no stale terms) and does
+    not read ``local_w``, which may be None.  Option II reuses quantities
+    already computed: c_local - c_global + (w_global - w_local) / (steps * lr).
     """
     if option not in CONTROL_OPTIONS:
         raise ValueError(f"control option must be one of {CONTROL_OPTIONS}, got {option!r}")
@@ -228,104 +232,114 @@ def train_cohort(
     seed whose ``epoch_batches`` give those orders, bit for bit.  If
     clients diverge, the DivergenceError raised is that of the first of
     them in ``shards`` order, as if they had trained one after another.
+    The rows train in slot order (see the module docstring), which no result shows.
     """
     scaf = cfg.opt_c == "scaf"
     if scaf and (global_c is None or local_cs is None):
         raise ValueError("scaf requires both global and local control variates")
-    prox_mu = cfg.prox_mu if cfg.opt_c == "prox" else 0.0
     count = len(shards)
+    if not len(ids) == len(orders) == count:
+        raise ValueError(f"need {count} ids and batch order lists, got {len(ids)} and {len(orders)}")
+    prox_mu = cfg.prox_mu if cfg.opt_c == "prox" else 0.0
     size = cfg.batch_size
-    w0 = global_w.values
-    rows = np.repeat(w0[None], count, axis=0)
-    moms = np.zeros_like(rows) if cfg.momentum != 0.0 else None
-    corrections = None
-    if scaf:
-        corrections = np.empty_like(rows)
-        for row, local_c in zip(corrections, local_cs):
-            np.subtract(global_c.values, local_c.values, out=row)
-
-    # The cohort's samples end to end, and each client's schedule over
-    # them: order[i, t, :n] indexes client i's batch of size n at step t.
-    feats = np.concatenate([shard.features for shard in shards])
-    labels = np.concatenate([shard.labels for shard in shards])
     samples = [len(shard) for shard in shards]
     per_epoch = [-(-n // size) for n in samples]
     last_size = [n - (nb - 1) * size for n, nb in zip(samples, per_epoch)]
     steps = [cfg.local_epochs * nb for nb in per_epoch]
+    # slots[k] is the client in row k; every array below is in slot order.
+    slots = sorted(range(count), key=lambda i: (-steps[i], -last_size[i]))
+    w0 = global_w.values
+    rows = np.repeat(w0[None], count, axis=0)
+    grads = np.empty_like(rows)
+    moms = np.zeros_like(rows) if cfg.momentum != 0.0 else None
+    corrections = None
+    if scaf:
+        corrections = np.empty_like(rows)
+        for row, i in zip(corrections, slots):
+            np.subtract(global_c.values, local_cs[i].values, out=row)
+
+    # The cohort's samples end to end, and each slot's schedule over
+    # them: order[k, t, :n] indexes slot k's batch of size n at step t.
+    feats = np.concatenate([shards[i].features for i in slots])
+    labels = np.concatenate([shards[i].labels for i in slots])
     width = min(size, max(samples))
     order = np.empty((count, max(steps), width), dtype=np.int64)
     offset = 0
-    for i, (n, epochs) in enumerate(zip(samples, orders, strict=True)):
-        if len(epochs) != cfg.local_epochs:
-            raise ValueError(f"need {cfg.local_epochs} batch orders a client, got {len(epochs)}")
-        nb = per_epoch[i]
-        for epoch, perm in enumerate(epochs):
-            block = order[i, epoch * nb : (epoch + 1) * nb].reshape(-1)
+    for k, i in enumerate(slots):
+        if len(orders[i]) != cfg.local_epochs:
+            raise ValueError(f"need {cfg.local_epochs} batch orders a client, got {len(orders[i])}")
+        n, nb = samples[i], per_epoch[i]
+        for epoch, perm in enumerate(orders[i]):
+            block = order[k, epoch * nb : (epoch + 1) * nb].reshape(-1)
             np.add(perm, offset, out=block[:n])
         offset += n
+    nbs, lasts, ends = ([col[i] for i in slots] for col in (per_epoch, last_size, steps))
     losses = np.empty((count, max(steps)))
     errors: list[DivergenceError | None] = [None] * count
 
     # Overflow shows up as a non-finite loss or w and is reported as
     # DivergenceError, so numpy's own warning is redundant.
     with np.errstate(over="ignore", invalid="ignore"):
-        live = list(range(count))
-        step = 0
-        while live:
+        live = count
+        for step in range(ends[0]):
+            while ends[live - 1] <= step:
+                live -= 1
             groups: dict[int, list[int]] = {}
-            for i in live:
-                n = size if step % per_epoch[i] < per_epoch[i] - 1 else last_size[i]
-                groups.setdefault(n, []).append(i)
+            for k in range(live):
+                n = size if step % nbs[k] < nbs[k] - 1 else lasts[k]
+                groups.setdefault(n, []).append(k)
             for n, members in groups.items():
                 first, last = members[0], members[-1]
-                # Consecutive rows are a view, so a lone client copies no row.
-                view = last - first + 1 == len(members)
-                sel = slice(first, last + 1) if view else members
-                idx = order[sel, step, :n]
-                w = rows[sel]
-                row_losses, grad = loss_and_grad_rows(spec, w, feats[idx], labels[idx])
-                g = grad
-                if corrections is not None:
-                    g = g + corrections[sel]
-                elif prox_mu != 0.0:
-                    g = g + prox_mu * (w - w0)
-                if cfg.weight_decay != 0.0:
-                    g = g + cfg.weight_decay * w
-                if moms is not None:
-                    u = moms[sel]
-                    u *= cfg.momentum
-                    u += g
-                    g = u
-                w -= cfg.lr * g
-                if not view:
-                    rows[sel] = w
-                    if moms is not None:
-                        moms[sel] = u
-                losses[sel, step] = row_losses
-                if not (np.isfinite(row_losses).all() and np.isfinite(w).all()):
-                    for k, i in enumerate(members):
-                        if not (np.isfinite(row_losses[k]) and np.isfinite(w[k]).all()):
-                            errors[i] = _divergence(
-                                round_idx, ids[i], step, row_losses[k], grad[k]
-                            )
-            step += 1
-            live = [i for i in live if errors[i] is None and steps[i] > step]
+                if last - first + 1 == len(members):
+                    sel = slice(first, last + 1)
+                    idx = order[sel, step, :n]
+                    losses[sel, step], _ = loss_and_grad_rows(
+                        spec, rows[sel], feats[idx], labels[idx], out=grads[sel]
+                    )
+                else:
+                    idx = order[members, step, :n]
+                    losses[members, step], grads[members] = loss_and_grad_rows(
+                        spec, rows[members], feats[idx], labels[idx]
+                    )
+            w = rows[:live]
+            g = grads[:live]
+            if corrections is not None:
+                g = g + corrections[:live]
+            elif prox_mu != 0.0:
+                g = g + prox_mu * (w - w0)
+            if cfg.weight_decay != 0.0:
+                g = g + cfg.weight_decay * w
+            if moms is not None:
+                u = moms[:live]
+                u *= cfg.momentum
+                u += g
+                g = u
+            w -= cfg.lr * g
+            step_losses = losses[:live, step]
+            if not (np.isfinite(step_losses).all() and np.isfinite(w).all()):
+                bad = ~(np.isfinite(step_losses) & np.isfinite(w).all(axis=1))
+                for k in np.flatnonzero(bad).tolist():
+                    errors[k] = errors[k] or _divergence(
+                        round_idx, ids[slots[k]], step, step_losses[k], grads[k]
+                    )
 
+        slot_of = {i: k for k, i in enumerate(slots)}
         results = []
-        for i, (shard, client_id) in enumerate(zip(shards, ids, strict=True)):
-            if errors[i] is not None:
-                raise errors[i]
+        for i, (shard, client_id) in enumerate(zip(shards, ids)):
+            k = slot_of[i]
+            if errors[k] is not None:
+                raise errors[k]
             new_local_c: ParamVector | None = None
             delta_control: ParamVector | None = None
             try:
-                delta = ParamVector._own(rows[i] - w0)
+                delta = ParamVector._own(rows[k] - w0)
                 if scaf:
                     new_local_c = update_control_variate(
                         cfg.control_option,
                         spec,
                         shard,
                         global_w,
-                        ParamVector._own(rows[i]),
+                        ParamVector._own(rows[k]) if cfg.control_option == "II" else None,
                         global_c,
                         local_cs[i],
                         steps=steps[i],
@@ -334,12 +348,13 @@ def train_cohort(
                     delta_control = ParamVector._own(new_local_c.values - local_cs[i].values)
             except NonFiniteError as exc:
                 raise DivergenceError(round_idx, client_id, steps[i], str(exc)) from exc
+            last_epoch = losses[k, steps[i] - per_epoch[i] : steps[i]]
             update = ClientUpdate(
                 client_id=client_id,
                 delta=delta,
                 num_samples=samples[i],
                 step_count=steps[i],
-                train_loss=float(np.mean(losses[i, steps[i] - per_epoch[i] : steps[i]])),
+                train_loss=float(last_epoch.sum() / per_epoch[i]),  # np.mean's arithmetic
                 delta_control=delta_control,
                 coeff_norm=accum_coeff_norm(cfg.momentum, steps[i]) if cfg.opt_c == "nova" else None,
             )

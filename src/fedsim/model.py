@@ -179,14 +179,14 @@ def _cross_entropy(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, labels:
     return losses, logits, logp, picks, cache
 
 
-def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache) -> np.ndarray:
-    """Gradient rows (C, P) of the per-row mean cross-entropy."""
+def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache, out=None) -> np.ndarray:
+    """Gradient rows (C, P) of the per-row mean cross-entropy, into ``out`` if given."""
     count, n, _ = feats.shape
     dlogits = np.exp(logp)
     dlogits[picks] -= 1.0
     dlogits /= n
     dlogits = dlogits.reshape(count, n, -1)
-    grad = np.empty((count, spec.param_count))
+    grad = np.empty((count, spec.param_count)) if out is None else out
     # Each layer's gradient is written into its slots of the rows, in
     # the layout of _unpack.
     (dw1, db1), *rest = _unpack(spec, grad)
@@ -209,17 +209,19 @@ def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache) -> np.ndar
 
 
 def loss_and_grad_rows(
-    spec: ModelSpec, rows: np.ndarray, features: np.ndarray, labels: np.ndarray
+    spec: ModelSpec, rows: np.ndarray, features: np.ndarray,
+    labels: np.ndarray, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy and its gradient for C stacked (params, batch) pairs.
 
     ``rows`` is (C, P), ``features`` (C, n, d) and ``labels`` (C, n), all
-    trusted.  Returns losses (C,) and gradient rows (C, P); row c holds
-    the bits ``loss_and_grad`` gives for row c alone.  Nothing is checked
-    finite: the caller decides per row.
+    trusted.  Returns losses (C,) and gradient rows (C, P): ``out``, a
+    (C, P) float64 array whose rows are P contiguous values, when given.
+    Row c holds the bits ``loss_and_grad`` gives for row c alone.
+    Nothing is checked finite: the caller decides per row.
     """
     losses, _, logp, picks, cache = _cross_entropy(spec, rows, features, labels)
-    return losses, _backward(spec, features, logp, picks, cache)
+    return losses, _backward(spec, features, logp, picks, cache, out)
 
 
 def _finite(loss: np.floating) -> float:

@@ -113,8 +113,9 @@ def generate_states(keys: Sequence[int | np.ndarray], n_words: int) -> np.ndarra
 
     ``keys`` are the key's columns, in key order: each one a 1-D array of
     one non-negative integer per row (an object array of ints for keys of
-    2**64 and above), or a non-negative int, which every row shares and
-    which becomes such a column.
+    2**64 and above; a bool is the int 0 or 1, as ``_key_list`` takes it),
+    or a non-negative int, which every row shares and which becomes such
+    a column.
     """
     if not keys:
         raise ValueError("at least one seed key is required")
@@ -131,7 +132,7 @@ def generate_states(keys: Sequence[int | np.ndarray], n_words: int) -> np.ndarra
         # object keys are checked as seeded_rng checks its keys
         if col.dtype.kind == "O" and col.shape == (count,):
             col = np.array(_key_list(tuple(col)), dtype=object)
-        if col.shape != (count,) or col.dtype.kind not in "uiO" or (col < 0).any():
+        if col.shape != (count,) or col.dtype.kind not in "buiO" or (col < 0).any():
             raise ValueError(f"seed key columns must be {count} non-negative integers")
         # Word k of a key is there for k == 0 and while it has bits above 32 k.
         present = every

@@ -481,6 +481,37 @@ def test_cohort_matches_each_client_alone(spec, opt_c, epochs, option):
         assert_same_result(got, alone)
 
 
+@pytest.mark.parametrize("opt_c", ["sgd", "scaf"])
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("permutation", ["reversed", "shuffled"])
+def test_cohort_order_is_invisible(permutation, epochs, opt_c):
+    """train_cohort sorts its rows into slots of its own; a permuted
+    cohort returns the permuted results, bit for bit."""
+    count = len(COHORT_SIZES)
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate(COHORT_SIZES)]
+    w0 = init_params(SPEC, 3)
+    cfg = ClientConfig(opt_c=opt_c, local_epochs=epochs, batch_size=4, lr=0.05)
+    orders = seeded_orders(shards, cfg, [40 + cid for cid in range(count)])
+    rng = np.random.default_rng(6)
+    local_cs = [ParamVector(0.1 * rng.normal(size=len(w0))) for _ in shards]
+    global_c = ParamVector(0.1 * rng.normal(size=len(w0)))
+
+    def train(perm):
+        controls = {}
+        if opt_c == "scaf":
+            controls = dict(global_c=global_c, local_cs=[local_cs[i] for i in perm])
+        return train_cohort(
+            SPEC, w0, [shards[i] for i in perm], cfg, 2, list(perm), [orders[i] for i in perm],
+            **controls,
+        )
+
+    base = train(range(count))
+    perm = range(count)[::-1] if permutation == "reversed" else rng.permutation(count).tolist()
+    for i, got in zip(perm, train(perm)):
+        assert got[0].client_id == i
+        assert_same_result(got, base[i])
+
+
 def _diverging_shard(seed, n, huge_rows):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, SPEC.input_dim))
@@ -518,6 +549,39 @@ def test_cohort_raises_the_first_clients_divergence(lr, order, message):
         for shard, cid, seed in zip(shards, ids, seeds):
             local_train(SPEC, w0, shard, cfg, 3, cid, seed)
     assert str(alone.value) == str(exc_info.value)
+
+
+def test_a_finish_phase_error_comes_before_a_later_clients_step_error(monkeypatch):
+    """Client 6's 8 rows take fewer steps than client 9's 12, so it trains
+    in a later slot; its non-finite control variate is still raised
+    before client 9's divergence in its steps, as one after another."""
+    real = client_mod.update_control_variate
+
+    def blow_up_for_eight_rows(option, spec, shard, *args, **kwargs):
+        if len(shard) == 8:
+            raise NonFiniteError("vector contains NaN or Inf")
+        return real(option, spec, shard, *args, **kwargs)
+
+    monkeypatch.setattr(client_mod, "update_control_variate", blow_up_for_eight_rows)
+    values = init_params(SPEC, 0).values.copy()
+    values[0 : SPEC.input_dim * SPEC.num_classes : SPEC.num_classes] = 1e10
+    w0 = ParamVector(values)
+    shards = [make_shard(8, seed=1), _diverging_shard(3, 12, 1)]
+    zero = ParamVector.zeros(len(w0))
+    cfg = ClientConfig(opt_c="scaf", batch_size=4, lr=0.1)
+    with pytest.raises(DivergenceError) as exc_info:
+        train_cohort(
+            SPEC, w0, shards, cfg, 5, [6, 9], seeded_orders(shards, cfg, (1, 2)),
+            global_c=zero, local_cs=[zero, zero],
+        )
+    want = "divergence at round 5, client 6, local step 2: vector contains NaN or Inf"
+    assert str(exc_info.value) == want
+    with pytest.raises(DivergenceError) as alone:
+        for shard, cid, seed in zip(shards, (6, 9), (1, 2)):
+            local_train(SPEC, w0, shard, cfg, 5, cid, seed, global_c=zero, local_c=zero)
+    assert str(alone.value) == want
+    with pytest.raises(DivergenceError, match="client 9, local step"):
+        local_train(SPEC, w0, shards[1], cfg, 5, 9, 2, global_c=zero, local_c=zero)
 
 
 def test_batch_size_past_every_shard_trains_each_shard_as_one_batch():

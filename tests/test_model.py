@@ -309,3 +309,20 @@ def test_stacked_rows_match_each_row_alone_bit_for_bit(name, n):
         assert losses.shape == (stacked,) and grads.shape == (stacked, spec.param_count)
         got = [(losses[c].tobytes(), grads[c].tobytes()) for c in range(stacked)]
         assert got == alone[:stacked], f"{stacked} stacked rows differ from each row alone"
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP_RELU, MLP_TANH], ids=["logistic", "relu", "tanh"])
+def test_rows_written_into_out_hold_the_allocating_calls_bits(spec):
+    rng = np.random.default_rng(9)
+    rows = np.stack([init_params(spec, s).values for s in range(3)])
+    feats = rng.normal(size=(3, 5, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=(3, 5))
+    want_losses, want = loss_and_grad_rows(spec, rows, feats, labels)
+    # A run of rows inside a larger array, as a cohort's gradient rows are.
+    cohort = np.full((5, spec.param_count), np.nan)
+    buf = cohort[1:4]
+    losses, got = loss_and_grad_rows(spec, rows, feats, labels, out=buf)
+    assert got is buf
+    assert losses.tobytes() == want_losses.tobytes()
+    assert cohort[1:4].tobytes() == want.tobytes()
+    assert np.isnan(cohort[[0, 4]]).all()

@@ -116,3 +116,9 @@ def test_lane_hash_rejects_what_seed_keys_reject():
     with pytest.raises(ValueError):  # columns of different lengths
         generate_states([np.arange(3), np.arange(4)], 1)
     assert generate_states([7, np.zeros(0, np.uint64)], 4).shape == (0, 4)
+
+
+def test_lane_hash_takes_bool_keys_as_the_reference_does():
+    got = generate_states([np.array([True, False])], 1)
+    assert got.tolist() == [[spawn_seed(1)], [spawn_seed(0)]]
+    assert spawn_seed(True) == spawn_seed(1)
