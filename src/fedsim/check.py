@@ -27,7 +27,6 @@ from .orchestrator import (
     TAG_CLIENT,
     TAG_SAMPLING,
     FederatedRun,
-    Schedule,
     prepare_schedule,
     run_experiment,
     sample_clients,
@@ -156,13 +155,20 @@ def check_cohort() -> str:
     """A run's first round, trained side by side on its schedule's batch
     orders, in schedule order and reversed, matches each client trained
     alone on its schedule seed, bit for bit; neither stacking on this
-    numpy/BLAS nor the clients' order may change a bit."""
+    numpy/BLAS nor the clients' order may change a bit.  A twin of the
+    largest client (its rows reversed, its seed and orders, its own id)
+    ties with it, so reversing the order swaps their stack rows."""
     base = _tiny_config()
     run = FederatedRun(replace(base, client=replace(base.client, local_epochs=2)))
     schedule = prepare_schedule(run.cfg)
     ids, seeds = schedule.ids[0].tolist(), schedule.seeds[0].tolist()
     shards = [run.shards[cid] for cid in ids]
-    orders = schedule.batch_orders(1, [len(shard) for shard in shards])
+    orders = list(schedule.batch_orders(1, [len(shard) for shard in shards]))
+    big = max(range(len(ids)), key=lambda i: len(shards[i]))
+    ids.append(run.cfg.num_clients)
+    seeds.append(seeds[big])
+    shards.append(Batch(shards[big].features[::-1], shards[big].labels[::-1]))
+    orders.append(orders[big])
     rng = np.random.default_rng(4)
     for opt_c in CLIENT_OPTIMIZERS:
         client = replace(run.cfg.client, opt_c=opt_c)
@@ -192,7 +198,7 @@ def check_streams() -> str:
     base = _tiny_config()
     cfg = replace(base, seed=2**40 + 3, client=replace(base.client, local_epochs=2))
     sizes = [len(shard) for shard in FederatedRun(cfg).shards]
-    schedule = Schedule(cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, 2, False)
+    schedule = prepare_schedule(cfg)
     sampling = spawn_seed(cfg.seed, TAG_SAMPLING)
     for r in range(1, cfg.rounds + 1):
         ids = sample_clients(cfg.num_clients, cfg.sample_ratio, r, sampling)

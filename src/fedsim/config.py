@@ -96,11 +96,13 @@ def _err(path: str, lines: dict[str, int], msg: str) -> ConfigError:
 
 
 def _construct(cls, kwargs: dict, path: str, lines: dict[str, int]):
-    """``cls(**kwargs)``, with a rule it breaks reported at ``path`` and its line."""
+    """``cls(**kwargs)``, with a rule it breaks reported at the key its
+    message starts with if the file sets it under ``path``, else at ``path``."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise _err(path, lines, str(exc)) from exc
+        key = f"{path}.{str(exc).split(' ', 1)[0]}"
+        raise _err(key if key in lines else path, lines, str(exc)) from exc
 
 
 def _take(section: dict, lines: dict[str, int], path: str, allowed: dict) -> dict:

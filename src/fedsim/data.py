@@ -218,6 +218,8 @@ def load_csv_dataset(
     width = len(first)
     if header is not None and len(header) != width:
         raise ValueError(f"{path}: header has {len(header)} columns, rows have {width}")
+    if width == 1:
+        raise ValueError(f"{path}: needs a label column and at least one feature column, got 1 column")
     if isinstance(label_col, str):
         if header is None:
             raise ValueError("label_col by name requires has_header=True")

@@ -45,7 +45,7 @@ class ModelSpec:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.kind == "mlp1":
             if self.hidden_dim is None or self.hidden_dim < 1:
-                raise ValueError(f"mlp1 needs hidden_dim >= 1, got {self.hidden_dim}")
+                raise ValueError(f"hidden_dim must be >= 1 for mlp1, got {self.hidden_dim}")
             if self.activation not in ACTIVATIONS:
                 raise ValueError(
                     f"mlp1 needs activation in {ACTIVATIONS}, got {self.activation!r}"

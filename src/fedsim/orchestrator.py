@@ -17,6 +17,7 @@ cohorts (``client.train_cohort``), cut to the cohort size cap.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -125,9 +126,10 @@ class DataConfig:
         if not (0.0 < self.test_fraction < 1.0):
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.source == "synthetic":
-            if self.num_classes < 2 or self.dim < 1 or self.samples_per_class < 2:
-                # The stratified split holds out at least one sample per class.
-                raise ValueError("synthetic data needs num_classes >= 2, dim >= 1, samples_per_class >= 2")
+            # The stratified split holds out at least one sample per class.
+            for key, least in (("num_classes", 2), ("dim", 1), ("samples_per_class", 2)):
+                if getattr(self, key) < least:
+                    raise ValueError(f"{key} must be >= {least} for synthetic data, got {getattr(self, key)}")
             if not (0.0 < self.spread < math.inf):
                 raise ValueError(f"spread must be positive and finite, got {self.spread}")
         else:
@@ -267,24 +269,14 @@ class Schedule:
       order in local epoch e, the stream ``seeded_rng(seeds[r - 1, i],
       TAG_BATCH, e)`` that ``epoch_batches`` shuffles with.
 
-    The arrays are read-only.  ``batch_orders`` draws the orders from one
-    generator that the schedule reuses.  A schedule that keeps its orders
-    (one that runs share) derives each order once, and keeps it read-only.
+    The arrays are read-only, and ``key`` is the schedule's whole input.
+    Its one mutable member is the generator that ``batch_orders`` draws
+    with, which it reseeds before every draw: runs may share a schedule.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        num_clients: int,
-        sample_ratio: float,
-        rounds: int,
-        local_epochs: int,
-        keep_orders: bool,
-    ):
+    def __init__(self, seed: int, num_clients: int, sample_ratio: float, rounds: int, local_epochs: int):
+        self.key = (seed, num_clients, sample_ratio, rounds, local_epochs)
         self._rng = np.random.Generator(np.random.PCG64())
-        self._kept: dict[tuple[int, int, int], tuple[np.ndarray, ...]] | None = (
-            {} if keep_orders else None
-        )
         count = sample_size(num_clients, sample_ratio)
         round_col = np.arange(1, rounds + 1, dtype=np.uint64)
         ids = np.empty((rounds, count), dtype=np.int64)
@@ -301,22 +293,21 @@ class Schedule:
             arr.flags.writeable = False
         self.ids, self.seeds, self.order_words = ids, seeds, order_words
 
-    def batch_orders(self, round_idx: int, sizes: Sequence[int]) -> list[tuple[np.ndarray, ...]]:
-        """Round ``round_idx``'s batch orders: entry i holds, for each local
-        epoch, the order in which the i-th sampled client, of ``sizes[i]``
-        rows, visits them (``epoch_batches``' shuffle)."""
-        kept = self._kept
-        out = []
-        for i, (n, words) in enumerate(zip(sizes, self.order_words[round_idx - 1].tolist())):
-            orders = None if kept is None else kept.get((round_idx, i, n))
-            if orders is None:
-                orders = tuple(reseed(self._rng, w).permutation(n) for w in words)
-                if kept is not None:
-                    for order in orders:
-                        order.flags.writeable = False
-                    kept[round_idx, i, n] = orders
-            out.append(orders)
-        return out
+    def batch_orders(self, round_idx: int, sizes: Sequence[int]) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Round ``round_idx``'s batch orders, read-only: entry i holds, for
+        each local epoch, the order in which the i-th sampled client, of
+        ``sizes[i]`` rows, visits them (``epoch_batches``' shuffle).  A
+        ``shared_data()`` block draws them once per (key, round, sizes)."""
+        sizes = tuple(sizes)
+
+        def draw() -> tuple[tuple[np.ndarray, ...], ...]:
+            rows = zip(sizes, self.order_words[round_idx - 1].tolist())
+            orders = tuple(tuple(reseed(self._rng, w).permutation(n) for w in words) for n, words in rows)
+            for order in itertools.chain(*orders):
+                order.flags.writeable = False
+            return orders
+
+        return _memo(("orders", *self.key, round_idx, sizes), draw)
 
 
 def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
@@ -348,23 +339,22 @@ _shared: ContextVar[dict | None] = ContextVar("fedsim_shared_data", default=None
 
 @contextmanager
 def shared_data() -> Iterator[None]:
-    """Within the block, runs derive what they have in common once.
-
-    Runs that agree on (data section, seed, ``num_clients``) share one
-    ``prepare_data`` result.  Runs that agree on (seed, ``num_clients``,
-    ``sample_ratio``, ``rounds``, ``local_epochs``) share one ``Schedule``,
-    which keeps the batch orders it draws.  Every shared value is
-    immutable or read-only, so no run can change what the next one reads,
-    and each run gives the same bits as outside a block.
+    """Within the block, runs derive what they have in common once: runs
+    that agree on (data section, seed, ``num_clients``) share one
+    ``prepare_data`` result, and runs that agree on a ``Schedule``'s key
+    share it and each round's batch orders (a memo entry per round).
+    Every shared value is immutable or read-only, so no run can change
+    what the next one reads, and each run gives the same bits as outside
+    a block.
 
     The memo holds it all until the block ends.  Besides the data, a
     schedule takes 8 bytes per sampled client per round for its ids, 8
-    for its seeds and 32 per local epoch for its seed words, and keeps one
-    int64 index per sampled sample per local epoch per round: about 128 kB
-    for 20 rounds of 10 sampled clients of 80 samples, one epoch.  That is
-    why ``run_grid`` opens one block per seed.  Ending with the block, it
-    reads a data file rewritten between two blocks again; an outer
-    block's memo is restored on exit.
+    for its seeds and 32 per local epoch for its seed words, and a round's
+    orders one int64 index per sampled sample per local epoch: about
+    128 kB for 20 rounds of 10 sampled clients of 80 samples, one epoch.
+    That is why ``run_grid`` opens one block per seed.  Ending with the
+    block, it reads a data file rewritten between two blocks again; an
+    outer block's memo is restored on exit.
     """
     token = _shared.set({})
     try:
@@ -413,15 +403,10 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
 
 
 def prepare_schedule(cfg: ExperimentConfig) -> Schedule:
-    """The run's random schedule.
-
-    Inside a ``shared_data()`` block, runs that agree on (seed,
-    ``num_clients``, ``sample_ratio``, ``rounds``, ``local_epochs``) share
-    one, and it keeps the batch orders it derives.
-    """
+    """The run's random schedule; inside a ``shared_data()`` block, runs
+    that agree on its key share one."""
     key = (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, cfg.client.local_epochs)
-    keep_orders = _shared.get() is not None
-    return _memo(("schedule", *key), lambda: Schedule(*key, keep_orders=keep_orders))
+    return _memo(("schedule", *key), lambda: Schedule(*key))
 
 
 class FederatedRun:

@@ -132,6 +132,18 @@ def test_run_on_csv_whose_header_width_differs_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {csv_path}: {want}\n"
 
 
+def test_csv_with_only_a_label_column_exits_2_naming_its_path(tmp_path, capsys):
+    csv_path = tmp_path / "one.csv"
+    csv_path.write_text("0\n1\n0\n1\n0\n1\n")
+    cfg = write_config(
+        tmp_path, f"num_clients: 2\nrounds: 1\ndata:\n  source: csv\n  path: {csv_path}\n"
+    )
+    want = f"error: {csv_path}: needs a label column and at least one feature column, got 1 column\n"
+    for verb in ("run", "partition-stats"):
+        assert main([verb, cfg]) == 2
+        assert capsys.readouterr().err == want
+
+
 def test_data_too_small_to_hold_out_a_test_split_exits_2(tmp_path, capsys):
     # The stratified split keeps a class's only sample for training.
     cfg = write_config(tmp_path, TINY.replace("samples_per_class: 30", "samples_per_class: 1"))
@@ -139,8 +151,8 @@ def test_data_too_small_to_hold_out_a_test_split_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # rejected at parse time
     assert captured.err == (
-        "config error: data (line 6): synthetic data needs num_classes >= 2, dim >= 1, "
-        "samples_per_class >= 2\n"
+        "config error: data.samples_per_class (line 9): samples_per_class must be >= 2 "
+        "for synthetic data, got 1\n"
     )
     csv_path = tmp_path / "d.csv"
     csv_path.write_text("0.5,0\n1.5,1\n2.5,2\n")  # one row per class
@@ -372,15 +384,19 @@ def test_grid_builds_its_data_once_per_seed(tmp_path, builds):
     assert builds == [0, 1]  # 32 cells, 2 seeds
     assert [(c.opt_c, c.opt_s, c.seed) for c in result.cells] == spec.cells()
     # One memo per seed, each seed's cells run together, and a memo holds
-    # one seed's data and one schedule, which keeps the batch orders of
-    # 4 rounds x 3 sampled clients, 2 epochs each.
+    # one seed's data, one schedule and the batch orders of 4 rounds, each
+    # 3 sampled clients x 2 epochs.
     assert [seed for seed, _, _ in memos] == [0] * 16 + [1] * 16
     assert memos[0][1] is not memos[16][1]
     for seed, memo, size in memos:
-        assert memo is memos[16 * seed][1] and size == 1 + 1
-        (schedule,) = (value for key, value in memo.items() if key[0] == "schedule")
-        assert len(schedule._kept) == 4 * 3
-        assert all(len(orders) == 2 for orders in schedule._kept.values())
+        assert memo is memos[16 * seed][1] and size == 2 + 4
+        orders = {key[6]: (key[7], value) for key, value in memo.items() if key[0] == "orders"}
+        assert sorted(orders) == [1, 2, 3, 4]
+        for sizes, round_orders in orders.values():
+            assert len(round_orders) == 3
+            for n, client_orders in zip(sizes, round_orders, strict=True):
+                assert len(client_orders) == 2
+                assert all(sorted(order.tolist()) == list(range(n)) for order in client_orders)
     for opt_c, opt_s, seed in spec.cells():
         name = f"{algorithm_name(opt_c, opt_s)}_seed{seed}"
         alone = tmp_path / "alone" / name
@@ -548,10 +564,31 @@ def test_check_cohort_arm_trains_on_the_schedules_batch_orders(monkeypatch, caps
     def one_reversed(self, round_idx, sizes):
         orders = real(self, round_idx, sizes)
         first, *rest = orders[0]
-        orders[0] = (first[::-1], *rest)
-        return orders
+        return ((first[::-1], *rest), *orders[1:])
 
     monkeypatch.setattr(orchestrator_mod.Schedule, "batch_orders", one_reversed)
+    assert check_mod.run_checks() is False
+    assert "\nFAIL cohort: " in capsys.readouterr().out
+
+
+def test_check_cohort_arm_fails_when_tied_clients_swap_results(monkeypatch, capsys):
+    """Clients that tie on (steps, last batch size) differ only in their
+    stack row, so a cohort that hands back a tied client's row for the
+    other fails the arm."""
+    real = check_mod.train_cohort
+
+    def tied_swapped(spec, w, shards, cfg, *args, **kwargs):
+        results = real(spec, w, shards, cfg, *args, **kwargs)
+        ties: dict[tuple[int, int], list[int]] = {}
+        for i, shard in enumerate(shards):
+            nb = -(-len(shard) // cfg.batch_size)
+            key = (cfg.local_epochs * nb, len(shard) - (nb - 1) * cfg.batch_size)
+            ties.setdefault(key, []).append(i)
+        for a, b, *_ in (group for group in ties.values() if len(group) > 1):
+            results[a], results[b] = results[b], results[a]
+        return results
+
+    monkeypatch.setattr(check_mod, "train_cohort", tied_swapped)
     assert check_mod.run_checks() is False
     assert "\nFAIL cohort: " in capsys.readouterr().out
 

@@ -145,18 +145,35 @@ def test_wrong_type_reports_line(tmp_path):
 
 
 def test_semantic_errors_become_config_errors(tmp_path):
-    # A section's own rules are reported at the section and its line, a
-    # top-level field's at its key and line.
+    # A section's rule about one of its keys is reported at that key and
+    # its line, a top-level field's at its key and line.
     with pytest.raises(ConfigError, match=r"^sample_ratio \(line 1\): sample_ratio must"):
         parse_config(write(tmp_path, "sample_ratio: 0.0\n"))
-    with pytest.raises(ConfigError, match=r"^client \(line 1\): momentum"):
+    with pytest.raises(ConfigError, match=r"^client\.momentum \(line 2\): momentum"):
         parse_config(write(tmp_path, "client:\n  momentum: 1.5\n"))
-    with pytest.raises(ConfigError, match=r"^data \(line 1\): alpha"):
+    with pytest.raises(ConfigError, match=r"^data\.alpha \(line 2\): alpha"):
         parse_config(write(tmp_path, "data:\n  alpha: -1.0\n"))
-    with pytest.raises(ConfigError, match=r"^model \(line 1\): mlp1 needs hidden_dim >= 1"):
+    with pytest.raises(ConfigError, match=r"^model\.hidden_dim \(line 3\): hidden_dim must be >= 1 for mlp1"):
         parse_config(write(tmp_path, "model:\n  kind: mlp1\n  hidden_dim: 0\n"))
-    with pytest.raises(ConfigError, match=r"^data \(line 1\): label_col by name requires has_header"):
+    with pytest.raises(ConfigError, match=r"^data\.label_col \(line 4\): label_col by name requires has_header"):
         parse_config(write(tmp_path, "data:\n  source: csv\n  path: d.csv\n  label_col: y\n"))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("data:\n  num_classes: 1\n", "data.num_classes (line 2): num_classes must be >= 2"),
+        ("data:\n  dim: 0\n", "data.dim (line 2): dim must be >= 1"),
+        ("data:\n  spread: 2.0\n  samples_per_class: 1\n",
+         "data.samples_per_class (line 3): samples_per_class must be >= 2"),
+        # A rule that names no key stays at the section and its line.
+        ("data:\n  source: csv\n", "data (line 1): csv data source needs a path"),
+        ("seed: 1\nmodel:\n  hidden_dim: 4\n", "model (line 2): logistic model takes no hidden_dim"),
+    ],
+)
+def test_a_sections_rule_names_its_key_and_line(tmp_path, text, want):
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}"):
+        parse_config(write(tmp_path, text))
 
 
 # Every key read through _cast_float (test_float_keys_are_pinned fixes the list).
@@ -379,9 +396,9 @@ def test_grid_checkpoint_validation(tmp_path):
 def test_grid_rejects_duplicates_and_bad_tokens(tmp_path):
     with pytest.raises(ConfigError, match="duplicates"):
         parse_config(write(tmp_path, "grid:\n  seeds: [1, 1]\n"))
-    with pytest.raises(ConfigError, match=r"^grid \(line 2\): opt_c contains duplicates"):
+    with pytest.raises(ConfigError, match=r"^grid\.opt_c \(line 3\): opt_c contains duplicates"):
         parse_config(write(tmp_path, "rounds: 3\ngrid:\n  opt_c: [sgd, sgd]\n"))
-    with pytest.raises(ConfigError, match=r"^grid \(line 1\): opt_s contains duplicates"):
+    with pytest.raises(ConfigError, match=r"^grid\.opt_s \(line 2\): opt_s contains duplicates"):
         parse_config(write(tmp_path, "grid:\n  opt_s: [adam, yogi, adam]\n"))
     with pytest.raises(ConfigError, match="valid tokens"):
         parse_config(write(tmp_path, "grid:\n  opt_c: [sgd, avg]\n"))

@@ -386,6 +386,16 @@ def test_load_csv_label_col_out_of_range(tmp_path):
         load_csv_dataset(p, label_col=5)
 
 
+def test_load_csv_needs_a_feature_column(tmp_path):
+    for text, header in (("0\n1\n0\n1\n", False), ("y\n0\n1\n0\n1\n", True)):
+        p = write_csv(tmp_path / "one.csv", text)
+        with pytest.raises(ValueError) as err:
+            load_csv_dataset(p, has_header=header)
+        assert str(err.value) == (
+            f"{p}: needs a label column and at least one feature column, got 1 column"
+        )
+
+
 def test_load_csv_header_width_must_match_rows(tmp_path):
     # Wider: a name past the rows' last column.  Narrower: names that
     # would silently shift onto the wrong columns.

@@ -121,7 +121,7 @@ def test_schedule_is_what_the_reference_functions_derive_round_by_round(seed):
     of one, two and three words; a shard may be smaller or larger than
     a batch."""
     rounds, epochs, batch_size = 5, 3, 4
-    schedule = Schedule(seed, 7, 0.4, rounds, epochs, False)
+    schedule = Schedule(seed, 7, 0.4, rounds, epochs)
     assert schedule.ids.shape == schedule.seeds.shape == (rounds, 2)
     assert schedule.order_words.shape == (rounds, 2, epochs, 4)
     sampling = spawn_seed(seed, TAG_SAMPLING)
@@ -363,20 +363,25 @@ def test_shared_values_are_read_only_and_named_by_their_whole_input():
     with shared_data():
         shared = run_experiment(cfg)
         memo = orchestrator_mod._shared.get()
-    assert {key[0] for key in memo} == {"data", "schedule"}
+    assert {key[0] for key in memo} == {"data", "schedule", "orders"}
+    assert len(memo) == 2 + cfg.rounds
+    schedule_key = (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, 2)
     for key, value in memo.items():
         if key[0] == "schedule":  # (seed, num_clients, sample_ratio, rounds, local_epochs)
             assert isinstance(value, orchestrator_mod.Schedule)
-            assert key[1:] == (cfg.seed, cfg.num_clients, cfg.sample_ratio, cfg.rounds, 2)
+            assert key[1:] == value.key == schedule_key
             for arr in (value.ids, value.seeds, value.order_words):
                 assert not arr.flags.writeable
-            assert len(value._kept) == cfg.rounds * len(value.ids[0])
-            for (round_idx, _, n), orders in value._kept.items():  # one per epoch
-                assert 1 <= round_idx <= cfg.rounds and len(orders) == 2
+            assert all(type(i) is int for rm in shared.metrics for i in rm.selected)
+        elif key[0] == "orders":  # (*schedule key, round, shard sizes)
+            assert key[1:6] == schedule_key and 1 <= key[6] <= cfg.rounds
+            sizes = key[7]
+            assert len(value) == len(sizes) == 3
+            for n, orders in zip(sizes, value, strict=True):  # one per epoch
+                assert len(orders) == 2
                 for order in orders:
                     assert not order.flags.writeable
                     assert sorted(order.tolist()) == list(range(n))
-            assert all(type(i) is int for rm in shared.metrics for i in rm.selected)
         else:
             assert key[0] == "data"
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -384,6 +389,70 @@ def test_shared_values_are_read_only_and_named_by_their_whole_input():
     alone = run_experiment(cfg)
     assert orchestrator_mod._shared.get() is None
     assert alone.final_state.w.same_bits(shared.final_state.w)
+
+
+def test_batch_orders_outside_a_block_are_fresh_and_read_only():
+    schedule = Schedule(0, 6, 0.5, 2, 2)
+    orders = schedule.batch_orders(1, [5, 9, 3])
+    assert type(orders) is tuple and [type(o) for o in orders] == [tuple] * 3
+    for n, client_orders in zip([5, 9, 3], orders):
+        assert len(client_orders) == 2
+        for order in client_orders:
+            assert sorted(order.tolist()) == list(range(n))
+            with pytest.raises(ValueError, match="read-only"):
+                order[0] = 0
+    again = schedule.batch_orders(1, [5, 9, 3])
+    assert again is not orders  # no memo outside a block
+    assert [[o.tolist() for o in c] for c in again] == [[o.tolist() for o in c] for c in orders]
+
+
+def _assert_frozen(value, where: str) -> None:
+    """``value`` is immutable or read-only all the way down."""
+    if isinstance(value, np.ndarray):
+        assert not value.flags.writeable, where
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _assert_frozen(item, f"{where}[{i}]")
+    elif dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, where
+        for f in dataclasses.fields(value):
+            _assert_frozen(getattr(value, f.name), f"{where}.{f.name}")
+    elif isinstance(value, Schedule):
+        # Its generator is reseeded before every draw (see its docstring).
+        for name, item in vars(value).items():
+            if name != "_rng":
+                _assert_frozen(item, f"{where}.{name}")
+    else:
+        assert isinstance(value, (bool, int, float, str, type(None))), f"{where}: {type(value)}"
+
+
+def test_every_memo_value_is_immutable_or_read_only_all_the_way_down():
+    with shared_data():
+        for opt_c in ("sgd", "scaf"):
+            run_experiment(tiny_config(client=ClientConfig(opt_c=opt_c, local_epochs=2, batch_size=8)))
+        memo = orchestrator_mod._shared.get()
+    assert {key[0] for key in memo} == {"data", "schedule", "orders"}
+    for key, value in memo.items():
+        _assert_frozen(value, repr(key[:2]))
+
+
+def test_cells_in_one_block_share_each_rounds_batch_orders(monkeypatch):
+    seen: list[tuple] = []  # (opt_c, round, client id, its orders)
+    real = orchestrator_mod.train_cohort
+
+    def recording(spec, w, shards, cfg, round_idx, ids, orders, *args, **kwargs):
+        seen.extend((cfg.opt_c, round_idx, cid, o) for cid, o in zip(ids, orders))
+        return real(spec, w, shards, cfg, round_idx, ids, orders, *args, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "train_cohort", recording)
+    with shared_data():
+        for opt_c in ("sgd", "prox"):
+            run_experiment(tiny_config(client=ClientConfig(opt_c=opt_c, batch_size=8)))
+    sgd = [row for row in seen if row[0] == "sgd"]
+    prox = [row for row in seen if row[0] == "prox"]
+    assert len(sgd) == len(prox) == 4 * 3
+    for a, b in zip(sgd, prox, strict=True):
+        assert a[1:3] == b[1:3] and a[3] is b[3]
 
 
 def test_payload_accounting_scaf_doubles_vectors():
