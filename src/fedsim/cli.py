@@ -196,8 +196,9 @@ def _cmd_run(args) -> int:
         print("error: config defines a grid; use `fedsim grid`", file=sys.stderr)
         return 2
     cfg = parsed if args.seed is None else replace(parsed, seed=args.seed)
+    run = FederatedRun(cfg)  # loads the data: a data error exits before the header
     print(f"{cfg.algorithm} (opt_c={cfg.opt_c}, opt_s={cfg.opt_s}, seed={cfg.seed})")
-    result = run_experiment(cfg, out_dir=args.out, on_round=_print_round)
+    result = run.run(out_dir=args.out, on_round=_print_round)
     if result.diverged:
         print(f"status: {result.status} ({result.error})")
         return 1

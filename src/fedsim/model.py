@@ -48,11 +48,13 @@ class ModelSpec:
                 raise ValueError(f"hidden_dim must be >= 1 for mlp1, got {self.hidden_dim}")
             if self.activation not in ACTIVATIONS:
                 raise ValueError(
-                    f"mlp1 needs activation in {ACTIVATIONS}, got {self.activation!r}"
+                    f"activation must be one of {ACTIVATIONS} for mlp1, got {self.activation!r}"
                 )
         else:
-            if self.hidden_dim is not None or self.activation is not None:
-                raise ValueError("logistic model takes no hidden_dim/activation")
+            if self.hidden_dim is not None:
+                raise ValueError(f"hidden_dim must be unset for logistic, got {self.hidden_dim}")
+            if self.activation is not None:
+                raise ValueError(f"activation must be unset for logistic, got {self.activation!r}")
 
     @property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:

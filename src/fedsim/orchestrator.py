@@ -12,7 +12,9 @@ A run derives its random schedule (``Schedule``: every round's client
 sample, every client's seed and batch orders) as arrays at its first
 round, to the bits of ``sample_clients``, ``spawn_seed`` and
 ``epoch_batches``.  A round trains its sampled clients in order as
-cohorts (``client.train_cohort``), cut to the cohort size cap.
+cohorts (``client.train_cohort``), cut to the cohort size cap, and folds
+each cohort's updates into the round's sums (``server.RoundSum``) as the
+cohort finishes.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ import numpy as np
 # fedsim.orchestrator.local_train.
 from .client import (  # noqa: F401
     ClientConfig,
-    ClientUpdate,
     DivergenceError,
     cohort_size,
     local_train,
@@ -51,7 +52,7 @@ from .data import (
 from .model import ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
 from .rng import generate_states, reseed, seeded_rng, spawn_seed
-from .server import ServerConfig, ServerState, aggregate, aggregate_control, server_step
+from .server import RoundSum, ServerConfig, ServerState, aggregate, aggregate_control, server_step
 
 # Purpose tags for seed derivation (dataset tags live in data.py).
 TAG_INIT = 10
@@ -466,13 +467,20 @@ class FederatedRun:
         if self._schedule is None:
             self._schedule = prepare_schedule(cfg)
         ids = self._schedule.ids[round_idx - 1].tolist()
-        orders = self._schedule.batch_orders(round_idx, [len(self.shards[cid]) for cid in ids])
+        sizes = [len(self.shards[cid]) for cid in ids]
+        orders = self._schedule.batch_orders(round_idx, sizes)
         size = cohort_size(self.spec.param_count)
         scaf = cfg.opt_c == "scaf"
-        results: list[tuple[ClientUpdate, ParamVector | None]] = []
+        # Each cohort's updates are folded into the round's sums as it
+        # finishes and then dropped (the loop variable too), so a round
+        # holds one cohort's updates.  The new control variates are
+        # committed only once every cohort has trained.
+        sums = RoundSum(sizes, self.spec.param_count, control=scaf, normalized=cfg.opt_c == "nova")
+        losses: list[float] = []
+        new_controls: list[tuple[int, ParamVector | None]] = []
         for i in range(0, len(ids), size):
             part = ids[i : i + size]
-            results += train_cohort(
+            for upd, new_local in train_cohort(
                 self.spec,
                 self.state.w,
                 [self.shards[cid] for cid in part],
@@ -482,17 +490,19 @@ class FederatedRun:
                 orders[i : i + size],
                 global_c=self.state.c if scaf else None,
                 local_cs=[self.controls[cid] for cid in part] if scaf else None,
-            )
-        updates = [upd for upd, _ in results]
+            ):
+                sums.add(upd)
+                losses.append(upd.train_loss)
+                new_controls.append((upd.client_id, new_local))
+            del upd
 
         try:
-            delta = aggregate(updates)
+            delta = aggregate(sums)
             if scaf:
-                control_delta = aggregate_control(updates)
+                control_delta = aggregate_control(sums)
                 new_c = ParamVector._own(self.state.c.values + control_delta.values)
                 self.state = replace(self.state, c=new_c)
-                for upd, new_local in results:
-                    self.controls[upd.client_id] = new_local
+                self.controls.update(new_controls)
             self.state = server_step(self.state, delta, cfg.server)
             test_loss = test_acc = best = None
             if cfg.is_eval_round(round_idx):
@@ -501,7 +511,7 @@ class FederatedRun:
             raise DivergenceError(round_idx, None, None, str(exc)) from exc
         self.last_delta = delta
 
-        train_loss = float(np.mean([u.train_loss for u in updates]))
+        train_loss = float(np.mean(losses))
         wall_ms = (time.perf_counter() - t0) * 1000.0
         rm = RoundMetrics(
             round_idx=round_idx,

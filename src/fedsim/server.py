@@ -6,6 +6,13 @@ every update carries a coefficient norm (FedNova), each delta is first
 divided by it (undoing how many effective steps that client took) and
 the sum rescaled by the weighted mean norm, so clients with more local
 steps no longer dominate the direction.  Mixed rounds are rejected.
+Under scaf the clients' control differences are averaged the same way.
+
+The sums are folds: a ``RoundSum``, built from the round's sample counts
+before any client trains, adds each update into running sums in sampling
+order, so a round need hold only the updates of the cohort that just
+finished.  ``aggregate`` and ``aggregate_control`` finish a fold; given a
+list of updates, they fold it first.
 
 The pseudo-gradient then drives one of four server optimizers.  With
 first-moment m and second-moment v (both zero-initialized):
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
@@ -75,53 +82,80 @@ class ServerState:
         return cls(w=w, c=zero, m=zero, v=zero)
 
 
-def _participant_weights(updates: list[ClientUpdate]) -> np.ndarray:
-    if not updates:
-        raise ValueError("aggregate needs at least one client update")
-    sizes = np.array([u.num_samples for u in updates], dtype=np.float64)
-    if (sizes <= 0).any():
-        raise ValueError("client updates must carry positive sample counts")
-    length = len(updates[0].delta)
-    for u in updates:
-        if len(u.delta) != length:
+class RoundSum:
+    """A round's running weighted sums: sum_i w_i * delta_i (each delta over
+    its coefficient norm when ``normalized``) and, when ``control``,
+    sum_i w_i * delta_control_i, with w = sizes / sizes.sum().
+
+    ``sizes`` are the round's sample counts in sampling order, and ``add``
+    takes the updates in that order, each added into zeros in turn.
+    """
+
+    def __init__(self, sizes: Sequence[int], length: int, control: bool = False, normalized: bool = False):
+        if len(sizes) == 0:
+            raise ValueError("aggregate needs at least one client update")
+        counts = np.array(sizes, dtype=np.float64)
+        if (counts <= 0).any():
+            raise ValueError("client updates must carry positive sample counts")
+        self.weights = counts / counts.sum()
+        self.normalized = normalized
+        self.norms: list[float] = []
+        self.delta = np.zeros(length)
+        self.control = np.zeros(length) if control else None
+        self.count = 0
+
+    def add(self, u: ClientUpdate) -> None:
+        if len(u.delta) != len(self.delta):
             raise ValueError("client deltas disagree on parameter count")
-    return sizes / sizes.sum()
+        wgt = self.weights[self.count]
+        if self.normalized:
+            if u.coeff_norm is None or not (u.coeff_norm > 0):
+                raise ValueError(
+                    f"normalized aggregation needs a positive coeff_norm on every update "
+                    f"(client {u.client_id} has {u.coeff_norm!r})"
+                )
+            self.delta += wgt * (u.delta.values / u.coeff_norm)
+            self.norms.append(u.coeff_norm)
+        else:
+            self.delta += wgt * u.delta.values
+        if self.control is not None:
+            if u.delta_control is None:
+                raise ValueError(f"update from client {u.client_id} carries no control difference")
+            self.control += wgt * u.delta_control.values
+        self.count += 1
 
 
-def _weighted_sum(weights: np.ndarray, vectors: Iterable[np.ndarray], length: int) -> np.ndarray:
-    """sum_i weights[i] * vectors[i], added in order into zeros, one vector at a time."""
-    acc = np.zeros(length)
-    for wgt, vec in zip(weights, vectors):
-        acc += wgt * vec
-    return acc
-
-
-def aggregate(updates: list[ClientUpdate]) -> ParamVector:
-    """Combine client deltas into one pseudo-gradient (order as given)."""
-    weights = _participant_weights(updates)
-    length = len(updates[0].delta)
-    norms = [u.coeff_norm for u in updates]
-    if all(norm is None for norm in norms):
-        return ParamVector._own(_weighted_sum(weights, (u.delta.values for u in updates), length))
+def _fold(updates: RoundSum | list[ClientUpdate], control: bool) -> RoundSum:
+    if isinstance(updates, RoundSum):
+        if updates.count != len(updates.weights):
+            raise ValueError(f"round sum holds {updates.count} of {len(updates.weights)} updates")
+        return updates
+    sums = RoundSum(
+        [u.num_samples for u in updates],
+        len(updates[0].delta) if updates else 0,
+        control=control,
+        normalized=any(u.coeff_norm is not None for u in updates),
+    )
     for u in updates:
-        if u.coeff_norm is None or not (u.coeff_norm > 0):
-            raise ValueError(
-                f"normalized aggregation needs a positive coeff_norm on every update "
-                f"(client {u.client_id} has {u.coeff_norm!r})"
-            )
-    acc = _weighted_sum(weights, (u.delta.values / u.coeff_norm for u in updates), length)
-    acc *= float(np.dot(weights, norms))
-    return ParamVector._own(acc)
+        sums.add(u)
+    return sums
 
 
-def aggregate_control(updates: list[ClientUpdate]) -> ParamVector:
+def aggregate(updates: RoundSum | list[ClientUpdate]) -> ParamVector:
+    """The round's pseudo-gradient: a finished fold, or a list of updates
+    folded in the order given.  Finish a fold once."""
+    sums = _fold(updates, control=False)
+    if sums.normalized:
+        sums.delta *= float(np.dot(sums.weights, sums.norms))
+    return ParamVector._own(sums.delta)
+
+
+def aggregate_control(updates: RoundSum | list[ClientUpdate]) -> ParamVector:
     """Weighted average of the clients' control-variate differences."""
-    weights = _participant_weights(updates)
-    for u in updates:
-        if u.delta_control is None:
-            raise ValueError(f"update from client {u.client_id} carries no control difference")
-    deltas = (u.delta_control.values for u in updates)
-    return ParamVector._own(_weighted_sum(weights, deltas, len(updates[0].delta_control)))
+    sums = _fold(updates, control=True)
+    if sums.control is None:
+        raise ValueError("this round sum holds no control differences")
+    return ParamVector._own(sums.control)
 
 
 def server_step(state: ServerState, delta: ParamVector, cfg: ServerConfig) -> ServerState:

@@ -141,7 +141,9 @@ def test_csv_with_only_a_label_column_exits_2_naming_its_path(tmp_path, capsys):
     want = f"error: {csv_path}: needs a label column and at least one feature column, got 1 column\n"
     for verb in ("run", "partition-stats"):
         assert main([verb, cfg]) == 2
-        assert capsys.readouterr().err == want
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the run header
+        assert captured.err == want
 
 
 def test_data_too_small_to_hold_out_a_test_split_exits_2(tmp_path, capsys):

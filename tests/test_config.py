@@ -166,9 +166,12 @@ def test_semantic_errors_become_config_errors(tmp_path):
         ("data:\n  dim: 0\n", "data.dim (line 2): dim must be >= 1"),
         ("data:\n  spread: 2.0\n  samples_per_class: 1\n",
          "data.samples_per_class (line 3): samples_per_class must be >= 2"),
+        ("seed: 1\nmodel:\n  hidden_dim: 4\n",
+         "model.hidden_dim (line 3): hidden_dim must be unset for logistic, got 4"),
+        ("model: {kind: logistic, activation: tanh}\n",
+         "model.activation (line 1): activation must be unset for logistic, got 'tanh'"),
         # A rule that names no key stays at the section and its line.
         ("data:\n  source: csv\n", "data (line 1): csv data source needs a path"),
-        ("seed: 1\nmodel:\n  hidden_dim: 4\n", "model (line 2): logistic model takes no hidden_dim"),
     ],
 )
 def test_a_sections_rule_names_its_key_and_line(tmp_path, text, want):

@@ -45,6 +45,24 @@ def test_spec_validation():
         ModelSpec("logistic", 4, 2, hidden_dim=3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, want",
+    [
+        (dict(kind="mlp1", hidden_dim=0, activation="relu"), "hidden_dim must be >= 1 for mlp1, got 0"),
+        (dict(kind="mlp1", hidden_dim=3, activation="gelu"),
+         "activation must be one of ('relu', 'tanh') for mlp1, got 'gelu'"),
+        (dict(kind="logistic", hidden_dim=3), "hidden_dim must be unset for logistic, got 3"),
+        (dict(kind="logistic", activation="tanh"), "activation must be unset for logistic, got 'tanh'"),
+    ],
+)
+def test_spec_rules_start_with_the_key_they_break(kwargs, want):
+    # config errors point at the line of the key a message starts with
+    kind = kwargs.pop("kind")
+    with pytest.raises(ValueError) as exc:
+        ModelSpec(kind, 4, 2, **kwargs)
+    assert str(exc.value) == want
+
+
 def test_param_count():
     assert ModelSpec("logistic", 3, 2).param_count == 3 * 2 + 2
     assert ModelSpec("mlp1", 4, 3, hidden_dim=6, activation="relu").param_count == (

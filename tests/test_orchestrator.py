@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 
 from fedsim import client as client_mod
 from fedsim import orchestrator as orchestrator_mod
-from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig
+from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig, DivergenceError
 from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
 from fedsim.model import Batch, loss_and_grad
 from fedsim.orchestrator import (
@@ -271,6 +272,46 @@ def test_cohorts_cut_by_the_byte_cap_give_the_same_bits(monkeypatch):
         assert getattr(cut.final_state, name).same_bits(getattr(whole.final_state, name))
     untimed = lambda result: [dataclasses.replace(m, wall_ms=0.0) for m in result.metrics]
     assert untimed(cut) == untimed(whole)
+
+
+@pytest.mark.parametrize("opt_c", ["sgd", "scaf", "nova"])
+def test_a_round_holds_one_cohorts_updates(monkeypatch, opt_c):
+    """The server folds each cohort's updates into its sums as the cohort
+    finishes, so none is alive when the next cohort starts training."""
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
+    train_cohort = orchestrator_mod.train_cohort
+    returned: list[weakref.ref] = []
+    alive = []
+
+    def spy(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in returned))
+        results = train_cohort(*args, **kwargs)
+        returned.extend(weakref.ref(upd) for upd, _ in results)
+        return results
+
+    monkeypatch.setattr(orchestrator_mod, "train_cohort", spy)
+    cfg = tiny_config(client=ClientConfig(opt_c=opt_c, batch_size=8))
+    assert run_experiment(cfg).status == "ok"
+    assert alive == [0] * (cfg.rounds * 3)  # 3 sampled clients a round, one per cohort
+
+
+def test_a_client_diverging_in_a_later_cohort_leaves_the_run_as_it_was(monkeypatch):
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
+    cfg = tiny_config(client=ClientConfig(opt_c="scaf", batch_size=8), server=ServerConfig(opt_s="adam"))
+    run = FederatedRun(cfg)
+    run.run_round(1)
+    last = int(orchestrator_mod.prepare_schedule(cfg).ids[1][-1])  # round 2's last cohort
+    shard = run.shards[last]
+    blown = Dataset(shard.features * 1e300, shard.labels, shard.num_classes)
+    run.shards = run.shards[:last] + (blown,) + run.shards[last + 1 :]
+    state, controls = run.state, dict(run.controls)
+    with pytest.raises(DivergenceError) as exc:
+        run.run_round(2)
+    assert (exc.value.round_idx, exc.value.client_id) == (2, last)
+    for name in ("w", "c", "m", "v"):
+        assert getattr(run.state, name).same_bits(getattr(state, name))
+    assert run.controls.keys() == controls.keys()
+    assert all(run.controls[cid].same_bits(controls[cid]) for cid in controls)
 
 
 def test_seed_changes_results():

@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim.client import ClientUpdate
 from fedsim.params import NonFiniteError, ParamVector
 from fedsim.server import (
+    RoundSum,
     ServerConfig,
     ServerState,
     aggregate,
@@ -126,6 +128,69 @@ def test_aggregate_control():
     assert out.values[0] == pytest.approx(0.25 * 2.0 + 0.75 * (-2.0), abs=1e-15)
     with pytest.raises(ValueError, match="control"):
         aggregate_control([upd(0, [1.0], 1)])
+
+
+def weighted_sum(weights, vectors, length):
+    """The arithmetic aggregation has always had: sum_i weights[i] *
+    vectors[i], added in order into zeros, one vector at a time."""
+    acc = np.zeros(length)
+    for wgt, vec in zip(weights, vectors):
+        acc += wgt * vec
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 9),
+    length=st.integers(1, 70),
+    kind=st.sampled_from(["plain", "nova", "scaf"]),
+)
+def test_a_fold_gives_the_bits_of_a_weighted_sum(seed, count, length, kind):
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 10 ** int(rng.integers(1, 7)), size=count)
+    norms = rng.uniform(0.01, 100.0, size=count).tolist()
+    scale = 10.0 ** rng.uniform(-6, 6)
+    deltas = [rng.normal(scale=scale, size=length) for _ in range(count)]
+    controls = [rng.normal(scale=scale, size=length) for _ in range(count)]
+    nova, scaf = kind == "nova", kind == "scaf"
+    updates = [
+        upd(i, deltas[i], int(sizes[i]), norms[i] if nova else None, controls[i] if scaf else None)
+        for i in range(count)
+    ]
+
+    weights = sizes.astype(np.float64) / sizes.astype(np.float64).sum()
+    if nova:
+        want = weighted_sum(weights, (d / n for d, n in zip(deltas, norms)), length)
+        want *= float(np.dot(weights, norms))
+    else:
+        want = weighted_sum(weights, deltas, length)
+
+    sums = RoundSum(sizes.tolist(), length, control=scaf, normalized=nova)
+    for u in updates:
+        sums.add(u)
+    for got in (aggregate(updates), aggregate(sums)):
+        assert got.values.tobytes() == want.tobytes()
+    if scaf:
+        want_c = weighted_sum(weights, controls, length)
+        for got in (aggregate_control(updates), aggregate_control(sums)):
+            assert got.values.tobytes() == want_c.tobytes()
+
+
+def test_a_round_sum_is_finished_only_when_every_update_is_in():
+    sums = RoundSum([1, 3], 1, control=True)
+    sums.add(upd(0, [1.0], 1, delta_control=[2.0]))
+    with pytest.raises(ValueError, match="holds 1 of 2 updates"):
+        aggregate(sums)
+    with pytest.raises(ValueError, match="holds 1 of 2 updates"):
+        aggregate_control(sums)
+    sums.add(upd(1, [5.0], 3, delta_control=[-2.0]))
+    assert aggregate(sums).values[0] == 0.25 * 1.0 + 0.75 * 5.0
+    assert aggregate_control(sums).values[0] == 0.25 * 2.0 + 0.75 * (-2.0)
+    plain = RoundSum([1], 1)
+    plain.add(upd(0, [1.0], 1, delta_control=[2.0]))
+    with pytest.raises(ValueError, match="no control differences"):
+        aggregate_control(plain)
 
 
 # ------------------------------------------------------------------ server step
