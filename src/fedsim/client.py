@@ -323,6 +323,17 @@ def train_cohort(
                         round_idx, ids[slots[k]], step, step_losses[k], grads[k]
                     )
 
+        # Every delta is made and checked finite at once.  A row that
+        # overflows gets the error its client alone would raise after its
+        # steps; an error is then raised at or before that row, so the
+        # stand-in deltas below never leave this function.
+        deltas = rows - w0
+        try:
+            delta_rows = ParamVector._own_rows(deltas)
+        except NonFiniteError as exc:
+            delta_rows = [None] * count
+            for k in np.flatnonzero(~np.isfinite(deltas).all(axis=1)).tolist():
+                errors[k] = errors[k] or DivergenceError(round_idx, ids[slots[k]], ends[k], str(exc))
         slot_of = {i: k for k, i in enumerate(slots)}
         results = []
         for i, (shard, client_id) in enumerate(zip(shards, ids)):
@@ -332,7 +343,6 @@ def train_cohort(
             new_local_c: ParamVector | None = None
             delta_control: ParamVector | None = None
             try:
-                delta = ParamVector._own(rows[k] - w0)
                 if scaf:
                     new_local_c = update_control_variate(
                         cfg.control_option,
@@ -351,7 +361,7 @@ def train_cohort(
             last_epoch = losses[k, steps[i] - per_epoch[i] : steps[i]]
             update = ClientUpdate(
                 client_id=client_id,
-                delta=delta,
+                delta=delta_rows[k],
                 num_samples=samples[i],
                 step_count=steps[i],
                 train_loss=float(last_epoch.sum() / per_epoch[i]),  # np.mean's arithmetic

@@ -8,14 +8,24 @@ before biases, weight matrices flattened row-major:
     logistic: [W (d*K), b (K)]
     mlp1:     [W1 (d*h), b1 (h), W2 (h*K), b2 (K)]
 
+A ``ModelSpec`` computes that layout once, on first use: each layer's
+(weight slice, bias slice, fan_in, fan_out) and ``param_count`` are kept
+on the instance, outside its fields, so equality and hashing ignore them.
+
 The loss is mean cross-entropy over the batch (softmax computed with
 max-subtraction for stability), so gradient magnitudes are independent
-of batch size.  ``finite_diff_grad`` provides a slow central-difference
-oracle for validating the analytic gradients.
+of batch size.  One kernel computes it: ``_forward``, ``_cross_entropy``
+and ``_backward`` over C stacked parameter rows and batches, which
+``loss_and_grad_rows``, ``loss_and_grad``, ``mean_loss`` and ``evaluate``
+all call.  The kernel writes only its own temporaries (it shifts the
+logits and takes the softmax in place) and never its inputs.
+``finite_diff_grad`` provides a slow central-difference oracle for
+validating the analytic gradients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +66,27 @@ class ModelSpec:
             if self.activation is not None:
                 raise ValueError(f"activation must be unset for logistic, got {self.activation!r}")
 
-    @property
+    @cached_property
     def layer_shapes(self) -> tuple[tuple[int, int], ...]:
         """(fan_in, fan_out) per layer, in storage order."""
         if self.kind == "logistic":
             return ((self.input_dim, self.num_classes),)
         return ((self.input_dim, self.hidden_dim), (self.hidden_dim, self.num_classes))
 
-    @property
+    @cached_property
+    def layout(self) -> tuple[tuple[slice, slice, int, int], ...]:
+        """(weight slice, bias slice, fan_in, fan_out) per layer of a flat
+        parameter vector."""
+        layers, off = [], 0
+        for fan_in, fan_out in self.layer_shapes:
+            end = off + fan_in * fan_out
+            layers.append((slice(off, end), slice(end, end + fan_out), fan_in, fan_out))
+            off = end + fan_out
+        return tuple(layers)
+
+    @cached_property
     def param_count(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_shapes)
+        return self.layout[-1][1].stop
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -110,23 +131,6 @@ class Batch:
         return int(self.features.shape[0])
 
 
-def _unpack(spec: ModelSpec, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Views of (W, b) per layer of parameter rows (C, P): W is
-    (C, fan_in, fan_out) and b is (C, fan_out); no copies."""
-    count = rows.shape[0]
-    layers = []
-    off = 0
-    for fan_in, fan_out in spec.layer_shapes:
-        w = rows[:, off : off + fan_in * fan_out].reshape(count, fan_in, fan_out)
-        off += fan_in * fan_out
-        b = rows[:, off : off + fan_out]
-        off += fan_out
-        layers.append((w, b))
-    if off != rows.shape[1]:
-        raise ValueError(f"parameter vector has length {rows.shape[1]}, expected {off}")
-    return layers
-
-
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Normal(0, 1/sqrt(fan_in)) weights, zero biases; deterministic in seed."""
     rng = seeded_rng(seed)
@@ -138,36 +142,40 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 
 def _forward(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray):
-    """Return (logits (C, n, K), caches-needed-for-backprop)."""
-    layers = _unpack(spec, rows)
-    if spec.kind == "logistic":
-        w, b = layers[0]
-        return feats @ w + b[:, None, :], None
-    (w1, b1), (w2, b2) = layers
-    pre = feats @ w1 + b1[:, None, :]
-    hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
-    return hidden @ w2 + b2[:, None, :], (pre, hidden, w2)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-softmax of each row of 2-D logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _cross_entropy(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, labels: np.ndarray):
-    """Forward pass shared by every loss over parameter rows (C, P) and
-    batches (C, n, d): (mean cross-entropy per row (C,), logits (C, n, K),
-    log-probs (C*n, K), each sample's (index, label) pair into them,
-    cache).  A row's loss may be NaN or Inf."""
+    """Return (logits (C, n, K), caches-needed-for-backprop) for parameter
+    rows (C, P) and batches (C, n, d); the weights are views of the rows."""
     if feats.shape[2] != spec.input_dim:
         raise ValueError(
             f"feature dim {feats.shape[2]} does not match input_dim {spec.input_dim}"
         )
-    logits, cache = _forward(spec, rows, feats)
+    count, length = rows.shape
+    if length != spec.param_count:
+        raise ValueError(f"parameter vector has length {length}, expected {spec.param_count}")
+    (w, b, fan_in, fan_out), *rest = spec.layout
+    out = feats @ rows[:, w].reshape(count, fan_in, fan_out)
+    out += rows[:, None, b]
+    if not rest:
+        return out, None
+    pre = out
+    hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
+    ((w, b, fan_in, fan_out),) = rest
+    w2 = rows[:, w].reshape(count, fan_in, fan_out)
+    logits = hidden @ w2
+    logits += rows[:, None, b]
+    return logits, (pre, hidden, w2)
+
+
+def _cross_entropy(spec: ModelSpec, logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy per row (C,) of logits (C, n, K) and labels (C, n),
+    the log-probs (C*n, K), computed in the logits' buffer, and each
+    sample's (index, label) pair into them.  A row's loss may be NaN or Inf."""
     count, n = labels.shape
-    # The samples of all rows one after another, as 2-D (C*n, K) arrays.
-    logp = _log_softmax(logits.reshape(count * n, -1))
+    # The samples of all rows one after another, as 2-D (C*n, K) arrays:
+    # log-softmax with max-subtraction.
+    logp = logits.reshape(count * n, -1)
+    logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
+    norm = np.add.reduce(np.exp(logp), axis=1, keepdims=True)
+    logp -= np.log(norm, out=norm)
     picks = (np.arange(count * n), labels.ravel())
     try:
         # Labels are non-negative (Batch), so only one too large fails.
@@ -177,36 +185,37 @@ def _cross_entropy(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, labels:
             f"label {int(labels.max())} out of range for {spec.num_classes} classes"
         ) from None
     # np.mean's own float64 arithmetic, without its Python-level overhead.
-    losses = -(picked.reshape(count, n).sum(axis=1) / n)
-    return losses, logits, logp, picks, cache
+    losses = np.add.reduce(picked.reshape(count, n), axis=1)
+    losses /= n
+    return np.negative(losses, out=losses), logp, picks
 
 
 def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache, out=None) -> np.ndarray:
-    """Gradient rows (C, P) of the per-row mean cross-entropy, into ``out`` if given."""
+    """Gradient rows (C, P) of the per-row mean cross-entropy, into ``out``
+    if given; the softmax is taken in ``logp``'s buffer."""
     count, n, _ = feats.shape
-    dlogits = np.exp(logp)
-    dlogits[picks] -= 1.0
-    dlogits /= n
-    dlogits = dlogits.reshape(count, n, -1)
+    dout = np.exp(logp, out=logp)
+    dout[picks] -= 1.0
+    dout /= n
+    dout = dout.reshape(count, n, -1)
     grad = np.empty((count, spec.param_count)) if out is None else out
-    # Each layer's gradient is written into its slots of the rows, in
-    # the layout of _unpack.
-    (dw1, db1), *rest = _unpack(spec, grad)
-    if spec.kind == "logistic":
-        np.matmul(feats.transpose(0, 2, 1), dlogits, out=dw1)
-        dlogits.sum(axis=1, out=db1)
-        return grad
-    pre, hidden, w2 = cache
-    ((dw2, db2),) = rest
-    np.matmul(hidden.transpose(0, 2, 1), dlogits, out=dw2)
-    dlogits.sum(axis=1, out=db2)
-    dhidden = dlogits @ w2.transpose(0, 2, 1)
-    if spec.activation == "relu":
-        dpre = dhidden * (pre > 0.0)
-    else:
-        dpre = dhidden * (1.0 - hidden**2)
-    np.matmul(feats.transpose(0, 2, 1), dpre, out=dw1)
-    dpre.sum(axis=1, out=db1)
+    # Each layer's gradient is written into its slots of the rows, in the
+    # spec's layout, last layer first; dout is the gradient at its output.
+    (w, b, fan_in, fan_out), *rest = spec.layout
+    if rest:
+        pre, hidden, w2 = cache
+        ((w_out, b_out, hidden_dim, classes),) = rest
+        np.matmul(hidden.transpose(0, 2, 1), dout, out=grad[:, w_out].reshape(count, hidden_dim, classes))
+        np.add.reduce(dout, axis=1, out=grad[:, b_out])
+        dout = dout @ w2.transpose(0, 2, 1)
+        if spec.activation == "relu":
+            dout *= pre > 0.0
+        else:
+            slope = hidden**2
+            np.subtract(1.0, slope, out=slope)
+            dout *= slope
+    np.matmul(feats.transpose(0, 2, 1), dout, out=grad[:, w].reshape(count, fan_in, fan_out))
+    np.add.reduce(dout, axis=1, out=grad[:, b])
     return grad
 
 
@@ -222,7 +231,8 @@ def loss_and_grad_rows(
     Row c holds the bits ``loss_and_grad`` gives for row c alone.
     Nothing is checked finite: the caller decides per row.
     """
-    losses, _, logp, picks, cache = _cross_entropy(spec, rows, features, labels)
+    logits, cache = _forward(spec, rows, features)
+    losses, logp, picks = _cross_entropy(spec, logits, labels)
     return losses, _backward(spec, features, logp, picks, cache, out)
 
 
@@ -234,19 +244,17 @@ def _finite(loss: np.floating) -> float:
 
 def mean_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
     """Forward-only mean cross-entropy (used by the finite-difference oracle)."""
-    losses = _cross_entropy(spec, params.values[None], batch.features[None], batch.labels[None])[0]
-    return _finite(losses[0])
+    logits, _ = _forward(spec, params.values[None], batch.features[None])
+    return _finite(_cross_entropy(spec, logits, batch.labels[None])[0][0])
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
     """Mean cross-entropy and its exact gradient as a flat vector: the
     one-row case of ``loss_and_grad_rows``."""
-    feats = batch.features[None]
-    losses, _, logp, picks, cache = _cross_entropy(
-        spec, params.values[None], feats, batch.labels[None]
+    losses, grads = loss_and_grad_rows(
+        spec, params.values[None], batch.features[None], batch.labels[None]
     )
-    loss = _finite(losses[0])
-    return loss, ParamVector._own(_backward(spec, feats, logp, picks, cache)[0])
+    return _finite(losses[0]), ParamVector._own(grads[0])
 
 
 def finite_diff_grad(
@@ -271,10 +279,9 @@ def finite_diff_grad(
 
 def evaluate(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
-    losses, logits, _, _, _ = _cross_entropy(
-        spec, params.values[None], batch.features[None], batch.labels[None]
-    )
-    loss = _finite(losses[0])
+    logits, _ = _forward(spec, params.values[None], batch.features[None])
+    # Taken before _cross_entropy shifts the logits in place.
     preds = logits[0].argmax(axis=1)
+    loss = _finite(_cross_entropy(spec, logits, batch.labels[None])[0][0])
     acc = float((preds == batch.labels).mean())
     return loss, acc

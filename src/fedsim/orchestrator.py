@@ -646,6 +646,15 @@ def write_metrics_csv(
             )
 
 
+_META_KEYS = ("kind", "input_dim", "num_classes", "hidden_dim", "activation", "param_count")
+
+
+def _meta_fields(spec: ModelSpec) -> dict[str, str]:
+    """A sidecar's architecture lines, {key: text} in file order; a
+    logistic spec has no hidden_dim or activation line."""
+    return {key: str(getattr(spec, key)) for key in _META_KEYS if getattr(spec, key) is not None}
+
+
 def save_params(path: str | Path, params: ParamVector, spec: ModelSpec | None = None) -> None:
     """Binary vector dump: u64-LE length header then float64-LE values.
 
@@ -658,15 +667,7 @@ def save_params(path: str | Path, params: ParamVector, spec: ModelSpec | None = 
         fh.write(np.array([arr.shape[0]], dtype="<u8").tobytes())
         fh.write(arr.astype("<f8").tobytes())
     if spec is not None:
-        lines = [
-            f"kind: {spec.kind}",
-            f"input_dim: {spec.input_dim}",
-            f"num_classes: {spec.num_classes}",
-        ]
-        if spec.kind == "mlp1":
-            lines.append(f"hidden_dim: {spec.hidden_dim}")
-            lines.append(f"activation: {spec.activation}")
-        lines.append(f"param_count: {spec.param_count}")
+        lines = [f"{key}: {value}" for key, value in _meta_fields(spec).items()]
         lines.append(
             "layout: per layer, weights row-major (fan_in x fan_out) then biases; "
             "values are float64 little-endian after a u64 little-endian count"
@@ -674,8 +675,12 @@ def save_params(path: str | Path, params: ParamVector, spec: ModelSpec | None = 
         Path(str(path) + ".meta.txt").write_text("\n".join(lines) + "\n")
 
 
-def load_params(path: str | Path) -> ParamVector:
-    """Read back a vector written by save_params (exact bytes round-trip)."""
+def load_params(path: str | Path, spec: ModelSpec | None = None) -> ParamVector:
+    """Read back a vector written by save_params (exact bytes round-trip).
+
+    Given a ``spec``, the ``.meta.txt`` sidecar must exist and describe
+    that architecture.
+    """
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise ValueError(f"{path}: truncated header")
@@ -683,4 +688,18 @@ def load_params(path: str | Path) -> ParamVector:
     expected = 8 + 8 * count
     if len(raw) != expected:
         raise ValueError(f"{path}: expected {expected} bytes for {count} values, got {len(raw)}")
+    if spec is not None:
+        try:
+            text = Path(str(path) + ".meta.txt").read_text()
+        except FileNotFoundError:
+            raise ValueError(f"{path}: no .meta.txt sidecar to check against the model") from None
+        found = dict(line.split(": ", 1) for line in text.splitlines() if ": " in line)
+        want = _meta_fields(spec)
+        for key in _META_KEYS:
+            if found.get(key) != want.get(key):
+                raise ValueError(
+                    f"{path}: sidecar {key} is {found.get(key)!r}, the model has {want.get(key)!r}"
+                )
+        if count != spec.param_count:
+            raise ValueError(f"{path}: holds {count} values, the model has {spec.param_count}")
     return ParamVector(np.frombuffer(raw[8:], dtype="<f8"))

@@ -52,6 +52,22 @@ class ParamVector:
         return vec
 
     @classmethod
+    def _own_rows(cls, arr: np.ndarray) -> list["ParamVector"]:
+        """Wrap each row of a freshly computed 2-D float64 array without
+        copying it.
+
+        The same hand-over as ``_own``: the whole array is checked finite
+        once and marked read-only before any row view is taken, so no
+        row can be made writeable again.
+        """
+        rows = []
+        for row in _frozen_finite(arr):
+            vec = object.__new__(cls)
+            object.__setattr__(vec, "values", row)
+            rows.append(vec)
+        return rows
+
+    @classmethod
     def zeros(cls, length: int) -> "ParamVector":
         if length < 1:
             raise ValueError(f"vector length must be >= 1, got {length}")

@@ -103,8 +103,11 @@ class RoundSum:
         self.delta = np.zeros(length)
         self.control = np.zeros(length) if control else None
         self.count = 0
+        self.finished: set[str] = set()
 
     def add(self, u: ClientUpdate) -> None:
+        if self.count == len(self.weights):
+            raise ValueError(f"round sum already holds {self.count} of {len(self.weights)} updates")
         if len(u.delta) != len(self.delta):
             raise ValueError("client deltas disagree on parameter count")
         wgt = self.weights[self.count]
@@ -129,6 +132,10 @@ def _fold(updates: RoundSum | list[ClientUpdate], control: bool) -> RoundSum:
     if isinstance(updates, RoundSum):
         if updates.count != len(updates.weights):
             raise ValueError(f"round sum holds {updates.count} of {len(updates.weights)} updates")
+        part = "control" if control else "delta"
+        if part in updates.finished:
+            raise ValueError(f"round sum's {part} sum was already finished")
+        updates.finished.add(part)
         return updates
     sums = RoundSum(
         [u.num_samples for u in updates],
@@ -143,7 +150,7 @@ def _fold(updates: RoundSum | list[ClientUpdate], control: bool) -> RoundSum:
 
 def aggregate(updates: RoundSum | list[ClientUpdate]) -> ParamVector:
     """The round's pseudo-gradient: a finished fold, or a list of updates
-    folded in the order given.  Finish a fold once."""
+    folded in the order given.  A fold's sum is finished once."""
     sums = _fold(updates, control=False)
     if sums.normalized:
         sums.delta *= float(np.dot(sums.weights, sums.norms))

@@ -429,6 +429,79 @@ def test_non_finite_control_variate_is_the_clients_divergence(monkeypatch):
     assert str(err) == "divergence at round 5, client 6, local step 2: vector contains NaN or Inf"
 
 
+def overflowing_start() -> ParamVector:
+    """Zero weights and equal biases of 1.1e308: with lr 1, momentum 0.9
+    and weight decay 0.8 the biases go 1.1e308 -> 0.22e308 -> -0.748e308,
+    every loss and step finite, so a client of two steps ends with a
+    delta of -1.848e308, which overflows, and one of one step does not."""
+    values = np.zeros(SPEC.param_count)
+    values[-SPEC.num_classes :] = 1.1e308
+    return ParamVector(values)
+
+
+OVERFLOW_CFG = ClientConfig(batch_size=4, lr=1.0, momentum=0.9, weight_decay=0.8)
+
+
+def test_a_delta_that_overflows_is_the_clients_divergence_after_its_steps():
+    w0 = overflowing_start()
+    with pytest.raises(DivergenceError) as exc_info:
+        local_train(SPEC, w0, make_shard(8, seed=1), OVERFLOW_CFG, round_idx=3, client_id=6, seed=1)
+    err = exc_info.value
+    assert (err.round_idx, err.client_id, err.step) == (3, 6, 2)
+    assert str(err) == "divergence at round 3, client 6, local step 2: vector contains NaN or Inf"
+    update, _ = local_train(SPEC, w0, make_shard(4, seed=0), OVERFLOW_CFG, round_idx=3, client_id=5, seed=1)
+    assert np.isfinite(update.delta.values).all() and update.step_count == 1
+
+
+def test_a_cohorts_errors_keep_the_callers_order(monkeypatch):
+    # Client 5 (one step) keeps a finite delta, client 6 (two steps) overflows.
+    shards = [make_shard(4, seed=0), make_shard(8, seed=1)]
+    w0 = overflowing_start()
+    for ids, order in (([5, 6], [0, 1]), ([6, 5], [1, 0])):
+        with pytest.raises(DivergenceError) as exc_info:
+            train_cohort(
+                SPEC, w0, [shards[i] for i in order], OVERFLOW_CFG, 3, ids,
+                [seeded_orders(shards, OVERFLOW_CFG, (1, 1))[i] for i in order],
+            )
+        assert (exc_info.value.client_id, exc_info.value.step) == (6, 2)
+
+    # Under scaf, a control-variate error of an earlier client comes first.
+    def blow_up_for_client_5(option, spec, shard, *args, **kwargs):
+        if shard is shards[0]:
+            raise NonFiniteError("vector contains NaN or Inf")
+        return ParamVector.zeros(spec.param_count)
+
+    monkeypatch.setattr(client_mod, "update_control_variate", blow_up_for_client_5)
+    cfg = replace(OVERFLOW_CFG, opt_c="scaf")
+    zero = ParamVector.zeros(SPEC.param_count)
+    for ids, order, want in (([5, 6], [0, 1], (5, 1)), ([6, 5], [1, 0], (6, 2))):
+        with pytest.raises(DivergenceError) as exc_info:
+            train_cohort(
+                SPEC, w0, [shards[i] for i in order], cfg, 3, ids,
+                [seeded_orders(shards, cfg, (1, 1))[i] for i in order],
+                global_c=zero, local_cs=[zero, zero],
+            )
+        assert (exc_info.value.client_id, exc_info.value.step) == want
+        assert str(exc_info.value).endswith("vector contains NaN or Inf")
+
+
+def test_a_cohorts_deltas_are_read_only_all_the_way_down():
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate((8, 12, 5))]
+    cfg = ClientConfig(batch_size=4)
+    results = train_cohort(
+        SPEC, init_params(SPEC, 0), shards, cfg, 1, [0, 1, 2], seeded_orders(shards, cfg, (1, 2, 3))
+    )
+    base = results[0][0].delta.values.base
+    assert base is not None and not base.flags.writeable
+    for update, _ in results:
+        values = update.delta.values
+        assert values.base is base and not values.flags.writeable
+        with pytest.raises(ValueError):
+            values.flags.writeable = True
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
+
+
 # ------------------------------------------------------------------ cohorts
 
 # With batch_size 4: full batches of 4 and partial last batches of 1, 1,

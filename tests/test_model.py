@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -344,3 +345,81 @@ def test_rows_written_into_out_hold_the_allocating_calls_bits(spec):
     assert losses.tobytes() == want_losses.tobytes()
     assert cohort[1:4].tobytes() == want.tobytes()
     assert np.isnan(cohort[[0, 4]]).all()
+
+
+@pytest.mark.parametrize("stacked", [1, 3])
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP_RELU, MLP_TANH], ids=["logistic", "relu", "tanh"])
+def test_the_kernel_reads_read_only_inputs_and_writes_only_its_own(spec, stacked):
+    rng = np.random.default_rng(stacked)
+    rows = np.stack([init_params(spec, s).values for s in range(stacked)])
+    feats = rng.normal(size=(stacked, 6, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=(stacked, 6))
+    inputs = (rows, feats, labels)
+    before = [arr.tobytes() for arr in inputs]
+    for arr in inputs:
+        arr.flags.writeable = False
+    cohort = np.full((stacked + 2, spec.param_count), np.nan)
+    losses, _ = loss_and_grad_rows(spec, rows, feats, labels, out=cohort[1:-1])
+    assert np.isnan(cohort[[0, -1]]).all() and np.isfinite(cohort[1:-1]).all()
+    for c in range(stacked):
+        params, batch = ParamVector(rows[c]), Batch(feats[c], labels[c])
+        loss, grad = loss_and_grad(spec, params, batch)
+        assert (loss, grad.values.tobytes()) == (losses[c], cohort[1 + c].tobytes())
+        assert mean_loss(spec, params, batch) == loss
+        assert evaluate(spec, params, batch)[0] == loss
+        assert not (params.values.flags.writeable or batch.features.flags.writeable)
+    assert [arr.tobytes() for arr in inputs] == before
+    for arr in inputs:
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1
+
+
+@pytest.mark.parametrize("n", [1, 7, 33, 128])
+@pytest.mark.parametrize("name", list(STACK_SPECS))
+def test_evaluate_and_mean_loss_give_the_reference_bits(name, n):
+    spec = STACK_SPECS[name]
+    rng = np.random.default_rng(n)
+    values = init_params(spec, n).values + 0.01 * rng.normal(size=spec.param_count)
+    feats = rng.normal(size=(n, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=n)
+    ref_loss, _ = reference_loss_and_grad(spec, values, feats, labels)
+    params, batch = ParamVector(values), Batch(feats, labels)
+    loss, acc = evaluate(spec, params, batch)
+    assert np.float64(loss).tobytes() == ref_loss.tobytes()
+    assert np.float64(mean_loss(spec, params, batch)).tobytes() == ref_loss.tobytes()
+    assert acc == float((predict(spec, values, feats) == labels).mean())
+
+
+def predict(spec: ModelSpec, values: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Plain 2-D argmax of the logits, each layer cut by hand."""
+    d, k = spec.input_dim, spec.num_classes
+    if spec.kind == "logistic":
+        return (feats @ values[: d * k].reshape(d, k) + values[d * k :]).argmax(axis=1)
+    h = spec.hidden_dim
+    pre = feats @ values[: d * h].reshape(d, h) + values[d * h : d * h + h]
+    hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
+    w2 = values[d * h + h : d * h + h + h * k].reshape(h, k)
+    return (hidden @ w2 + values[d * h + h + h * k :]).argmax(axis=1)
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP_TANH], ids=["logistic", "mlp1"])
+def test_a_specs_layout_is_built_once_and_not_part_of_its_value(spec):
+    fresh = dataclasses.replace(spec)
+    assert "layout" not in vars(fresh)
+    layout = fresh.layout
+    loss_and_grad(fresh, init_params(fresh, 0), random_batch(fresh, 0))
+    evaluate(fresh, init_params(fresh, 0), random_batch(fresh, 0))
+    assert fresh.layout is layout and vars(fresh)["layout"] is layout
+    assert fresh.param_count == layout[-1][1].stop == sum(fi * fo + fo for fi, fo in fresh.layer_shapes)
+    other = dataclasses.replace(spec)
+    assert "layout" not in vars(other)
+    assert fresh == other and hash(fresh) == hash(other) and repr(fresh) == repr(other)
+    assert {fresh: 1}[other] == 1
+    assert dataclasses.replace(fresh, num_classes=4) != fresh
+    assert "layout" not in vars(dataclasses.replace(fresh))
+    off = 0
+    for (w, b, fan_in, fan_out), shape in zip(layout, fresh.layer_shapes):
+        assert (fan_in, fan_out) == shape
+        mid = off + fan_in * fan_out
+        assert (w, b) == (slice(off, mid), slice(mid, mid + fan_out))
+        off = mid + fan_out

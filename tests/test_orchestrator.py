@@ -12,7 +12,7 @@ from fedsim import client as client_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig, DivergenceError
 from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
-from fedsim.model import Batch, loss_and_grad
+from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
 from fedsim.orchestrator import (
     ALGORITHM_NAMES,
     DataConfig,
@@ -620,6 +620,56 @@ def test_load_params_rejects_corrupt_files(tmp_path):
     tiny.write_bytes(b"abc")
     with pytest.raises(ValueError, match="truncated"):
         load_params(tiny)
+
+
+LOGISTIC_4x3 = ModelSpec("logistic", 4, 3)
+MLP_4x3 = ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="tanh")
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC_4x3, MLP_4x3], ids=["logistic", "mlp1"])
+def test_load_params_checks_the_sidecar_against_a_spec(tmp_path, spec):
+    path = tmp_path / "p.bin"
+    params = init_params(spec, 0)
+    save_params(path, params, spec)
+    assert load_params(path, spec).same_bits(params)
+    assert load_params(path).same_bits(params)
+
+
+@pytest.mark.parametrize(
+    "saved, expected, field",
+    [
+        (LOGISTIC_4x3, MLP_4x3, "kind"),
+        (LOGISTIC_4x3, ModelSpec("logistic", 5, 3), "input_dim"),
+        (LOGISTIC_4x3, ModelSpec("logistic", 4, 2), "num_classes"),
+        (MLP_4x3, ModelSpec("mlp1", 4, 3, hidden_dim=6, activation="tanh"), "hidden_dim"),
+        (MLP_4x3, ModelSpec("mlp1", 4, 3, hidden_dim=5, activation="relu"), "activation"),
+    ],
+)
+def test_load_params_names_the_first_field_the_sidecar_disagrees_on(tmp_path, saved, expected, field):
+    path = tmp_path / "p.bin"
+    save_params(path, init_params(saved, 0), saved)
+    want = getattr(expected, field)
+    with pytest.raises(ValueError) as exc:
+        load_params(path, expected)
+    assert str(exc.value).startswith(f"{path}: sidecar {field} is ")
+    assert str(exc.value).endswith(f"the model has {str(want)!r}")
+
+
+def test_load_params_with_a_spec_needs_a_matching_sidecar_and_length(tmp_path):
+    path = tmp_path / "p.bin"
+    save_params(path, init_params(LOGISTIC_4x3, 0))
+    with pytest.raises(ValueError, match=f"^{path}: no .meta.txt sidecar"):
+        load_params(path, LOGISTIC_4x3)
+    # A sidecar that agrees with the spec does not vouch for a blob of another length.
+    save_params(path, ParamVector([1.0, 2.0]), LOGISTIC_4x3)
+    with pytest.raises(ValueError, match=f"^{path}: holds 2 values, the model has 15$"):
+        load_params(path, LOGISTIC_4x3)
+    # The sidecar's param_count is checked on its own too.
+    meta = tmp_path / "p.bin.meta.txt"
+    save_params(path, init_params(LOGISTIC_4x3, 0), LOGISTIC_4x3)
+    meta.write_text(meta.read_text().replace("param_count: 15", "param_count: 16"))
+    with pytest.raises(ValueError, match="sidecar param_count is '16', the model has '15'"):
+        load_params(path, LOGISTIC_4x3)
 
 
 def test_experiment_config_validation():

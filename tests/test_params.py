@@ -42,3 +42,19 @@ def test_zeros():
     with pytest.raises(ValueError):
         ParamVector.zeros(0)
 
+
+
+def test_own_rows_wraps_each_row_once_checked_and_frozen_all_the_way_down():
+    fresh = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+    rows = ParamVector._own_rows(fresh)
+    assert [pv.values.base is fresh for pv in rows] == [True, True]
+    assert [pv.values.tolist() for pv in rows] == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+    assert not fresh.flags.writeable
+    for pv in rows:
+        with pytest.raises(ValueError):
+            pv.values.flags.writeable = True
+    with pytest.raises(ValueError):
+        fresh[0, 0] = 1.0
+    bad = np.array([[1.0, 2.0], [np.nan, 0.0]])
+    with pytest.raises(NonFiniteError, match="vector contains NaN or Inf"):
+        ParamVector._own_rows(bad)

@@ -193,6 +193,33 @@ def test_a_round_sum_is_finished_only_when_every_update_is_in():
         aggregate_control(plain)
 
 
+def test_a_round_sum_takes_no_update_past_its_end():
+    sums = RoundSum([1], 1)
+    sums.add(upd(0, [1.0], 1))
+    with pytest.raises(ValueError, match=r"^round sum already holds 1 of 1 updates$"):
+        sums.add(upd(1, [2.0], 1))
+    assert sums.count == 1 and sums.delta.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("kind", ["plain", "nova", "scaf"])
+def test_a_round_sums_each_sum_is_finished_once(kind):
+    nova, scaf = kind == "nova", kind == "scaf"
+    sums = RoundSum([1, 3], 2, control=scaf, normalized=nova)
+    for cid, n in ((0, 1), (1, 3)):
+        sums.add(upd(cid, [1.0, -2.0], n, 2.0 if nova else None, [0.5, 1.0] if scaf else None))
+    first = aggregate(sums)
+    with pytest.raises(ValueError, match=r"^round sum's delta sum was already finished$"):
+        aggregate(sums)
+    if scaf:
+        control = aggregate_control(sums)
+        with pytest.raises(ValueError, match=r"^round sum's control sum was already finished$"):
+            aggregate_control(sums)
+        assert control.values.tolist() == [0.5, 1.0]
+    assert first.values.tolist() == [1.0, -2.0]
+    with pytest.raises(ValueError, match="already holds 2 of 2 updates"):
+        sums.add(upd(2, [1.0, 1.0], 1))
+
+
 # ------------------------------------------------------------------ server step
 
 
