@@ -254,7 +254,9 @@ def _cmd_partition_stats(args) -> int:
 
 def _cmd_check(args) -> int:
     from .check import run_checks
+    from .numerics import fingerprint
 
+    print(f"numerics: {fingerprint()}")
     return 0 if run_checks() else 1
 
 

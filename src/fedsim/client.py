@@ -28,16 +28,15 @@ entirely, so disabling one reproduces the plain path bit for bit.
 ``train_cohort`` runs a round's clients side by side.  Their w and u
 are rows of (clients x P) arrays in slot order: most steps first and,
 among equal steps, the larger last batch first, so the clients still
-training at a step are a prefix of the rows.  At each local step, the
-live clients whose next batch has the same size form a group (a run of
-rows under one local epoch): full batches form one group, and partial
-last batches are grouped by their size.  Each group takes one stacked
-``loss_and_grad_rows`` call into the cohort's gradient rows, and the
-step formulas above then run once on the live prefix.  Every client
-keeps its own batch orders, one shuffle of its rows per epoch, which the
-caller passes in: a run takes them from its schedule.  A row that stops
-being finite keeps its slot; its first divergence is kept and its later
-values are thrown away (their warnings stay inside ``np.errstate``).
+training at a step are a prefix of the rows.  Each local step is one
+``loss_and_grad_rows`` call on that prefix, with each row's batch size
+(full, or its partial last batch) from a table built once per cohort,
+and every step's batches gathered once, end to end; the step formulas
+above then run once on the prefix.  Every client keeps its own batch
+orders, one shuffle of its rows per epoch, which the caller passes in:
+a run takes them from its schedule.  A row that stops being finite
+keeps its slot; its first divergence is kept and its later values are
+thrown away (their warnings stay inside ``np.errstate``).
 Results and errors come back in the caller's order: each row gets the
 bits the client would get alone, and a divergence is the one training
 the clients one after another would raise.  ``local_train`` is the
@@ -47,6 +46,7 @@ P) arrays, so a wide model trains in cohorts of one.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -259,11 +259,12 @@ def train_cohort(
             np.subtract(global_c.values, local_cs[i].values, out=row)
 
     # The cohort's samples end to end, and each slot's schedule over
-    # them: order[k, t, :n] indexes slot k's batch of size n at step t.
+    # them: order[k, t, :n] indexes slot k's batch of size n at step t,
+    # and -1 fills the rest.
     feats = np.concatenate([shards[i].features for i in slots])
     labels = np.concatenate([shards[i].labels for i in slots])
     width = min(size, max(samples))
-    order = np.empty((count, max(steps), width), dtype=np.int64)
+    order = np.full((count, max(steps), width), -1, dtype=np.int64)
     offset = 0
     for k, i in enumerate(slots):
         if len(orders[i]) != cfg.local_epochs:
@@ -273,34 +274,27 @@ def train_cohort(
             block = order[k, epoch * nb : (epoch + 1) * nb].reshape(-1)
             np.add(perm, offset, out=block[:n])
         offset += n
-    nbs, lasts, ends = ([col[i] for i in slots] for col in (per_epoch, last_size, steps))
+    # Every step's batches end to end, step after step, gathered once:
+    # step t trains the slots of table[t], with batches of those sizes,
+    # on feats[bounds[t] : bounds[t + 1]].
+    by_step = order.transpose(1, 0, 2)
+    used = by_step >= 0
+    picks = by_step[used]
+    feats, labels = feats[picks], labels[picks]
+    table = [[n for n in row if n] for row in used.sum(axis=2).tolist()]
+    bounds = list(itertools.accumulate(map(sum, table), initial=0))
     losses = np.empty((count, max(steps)))
     errors: list[DivergenceError | None] = [None] * count
 
     # Overflow shows up as a non-finite loss or w and is reported as
     # DivergenceError, so numpy's own warning is redundant.
     with np.errstate(over="ignore", invalid="ignore"):
-        live = count
-        for step in range(ends[0]):
-            while ends[live - 1] <= step:
-                live -= 1
-            groups: dict[int, list[int]] = {}
-            for k in range(live):
-                n = size if step % nbs[k] < nbs[k] - 1 else lasts[k]
-                groups.setdefault(n, []).append(k)
-            for n, members in groups.items():
-                first, last = members[0], members[-1]
-                if last - first + 1 == len(members):
-                    sel = slice(first, last + 1)
-                    idx = order[sel, step, :n]
-                    losses[sel, step], _ = loss_and_grad_rows(
-                        spec, rows[sel], feats[idx], labels[idx], out=grads[sel]
-                    )
-                else:
-                    idx = order[members, step, :n]
-                    losses[members, step], grads[members] = loss_and_grad_rows(
-                        spec, rows[members], feats[idx], labels[idx]
-                    )
+        for step, batch_sizes in enumerate(table):
+            live = len(batch_sizes)
+            lo, hi = bounds[step], bounds[step + 1]
+            losses[:live, step], _ = loss_and_grad_rows(
+                spec, rows[:live], feats[lo:hi], labels[lo:hi], batch_sizes, out=grads[:live]
+            )
             w = rows[:live]
             g = grads[:live]
             if corrections is not None:
@@ -333,7 +327,7 @@ def train_cohort(
         except NonFiniteError as exc:
             delta_rows = [None] * count
             for k in np.flatnonzero(~np.isfinite(deltas).all(axis=1)).tolist():
-                errors[k] = errors[k] or DivergenceError(round_idx, ids[slots[k]], ends[k], str(exc))
+                errors[k] = errors[k] or DivergenceError(round_idx, ids[slots[k]], steps[slots[k]], str(exc))
         slot_of = {i: k for k, i in enumerate(slots)}
         results = []
         for i, (shard, client_id) in enumerate(zip(shards, ids)):

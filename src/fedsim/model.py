@@ -15,10 +15,16 @@ on the instance, outside its fields, so equality and hashing ignore them.
 The loss is mean cross-entropy over the batch (softmax computed with
 max-subtraction for stability), so gradient magnitudes are independent
 of batch size.  One kernel computes it: ``_forward``, ``_cross_entropy``
-and ``_backward`` over C stacked parameter rows and batches, which
-``loss_and_grad_rows``, ``loss_and_grad``, ``mean_loss`` and ``evaluate``
-all call.  The kernel writes only its own temporaries (it shifts the
-logits and takes the softmax in place) and never its inputs.
+and ``_backward`` over C stacked parameter rows, each with a batch of
+its own size laid end to end as N samples; ``loss_and_grad``,
+``mean_loss`` and ``evaluate`` are its one-row case.  The log-softmax
+and its gradient run once over all N samples.  Each run of adjacent rows
+whose batches share one size n goes through the layers on its own (one
+stacked matmul per layer, still one gemm with M = n per row, bias adds,
+activations, loss and bias-gradient sums, divisions by n), so every row
+gets the bits it would get alone and a single run costs what one stacked
+call did.  The kernel writes only its own temporaries (the log-softmax
+and softmax in place) and never its inputs.
 ``finite_diff_grad`` provides a slow central-difference oracle for
 validating the analytic gradients.
 """
@@ -141,99 +147,113 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(parts))
 
 
-def _forward(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray):
-    """Return (logits (C, n, K), caches-needed-for-backprop) for parameter
-    rows (C, P) and batches (C, n, d); the weights are views of the rows."""
-    if feats.shape[2] != spec.input_dim:
-        raise ValueError(
-            f"feature dim {feats.shape[2]} does not match input_dim {spec.input_dim}"
-        )
-    count, length = rows.shape
-    if length != spec.param_count:
-        raise ValueError(f"parameter vector has length {length}, expected {spec.param_count}")
-    (w, b, fan_in, fan_out), *rest = spec.layout
-    out = feats @ rows[:, w].reshape(count, fan_in, fan_out)
-    out += rows[:, None, b]
-    if not rest:
-        return out, None
-    pre = out
-    hidden = np.maximum(pre, 0.0) if spec.activation == "relu" else np.tanh(pre)
-    ((w, b, fan_in, fan_out),) = rest
-    w2 = rows[:, w].reshape(count, fan_in, fan_out)
-    logits = hidden @ w2
-    logits += rows[:, None, b]
-    return logits, (pre, hidden, w2)
+def _runs(sizes) -> list[tuple[slice, slice, int, int]]:
+    """(rows, samples, row count, n) of each run of adjacent rows whose
+    batches share one size n; the rows' samples lie end to end."""
+    runs, first, start, last = [], 0, 0, len(sizes)
+    for end, n in enumerate(sizes, 1):
+        if end == last or sizes[end] != n:
+            stop = start + (end - first) * n
+            runs.append((slice(first, end), slice(start, stop), end - first, n))
+            first, start = end, stop
+    return runs
 
 
-def _cross_entropy(spec: ModelSpec, logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy per row (C,) of logits (C, n, K) and labels (C, n),
-    the log-probs (C*n, K), computed in the logits' buffer, and each
-    sample's (index, label) pair into them.  A row's loss may be NaN or Inf."""
-    count, n = labels.shape
-    # The samples of all rows one after another, as 2-D (C*n, K) arrays:
-    # log-softmax with max-subtraction.
-    logp = logits.reshape(count * n, -1)
+def _forward(spec: ModelSpec, rows: np.ndarray, feats: np.ndarray, runs):
+    """Logits (N, K) for parameter rows (C, P) and their samples (N, d) end
+    to end, and per run the (rows, n, width) views backprop needs: its
+    samples, hidden activations (the samples again for logistic), logits."""
+    if feats.shape[1] != spec.input_dim:
+        raise ValueError(f"feature dim {feats.shape[1]} does not match input_dim {spec.input_dim}")
+    if rows.shape[1] != spec.param_count:
+        raise ValueError(f"parameter vector has length {rows.shape[1]}, expected {spec.param_count}")
+    *hidden_layer, (w, b, fan_in, fan_out) = spec.layout
+    logits, cache = np.empty((len(feats), fan_out)), []
+    for sel, samples, count, n in runs:
+        # x @ W + b per layer, each row's samples through that row's layer.
+        x = h = feats[samples].reshape(count, n, spec.input_dim)
+        if hidden_layer:
+            ((w1, b1, _, hidden_dim),) = hidden_layer
+            h = np.matmul(x, rows[sel, w1].reshape(count, spec.input_dim, hidden_dim))
+            h += rows[sel, None, b1]
+            h = np.maximum(h, 0.0) if spec.activation == "relu" else np.tanh(h)
+        y = logits[samples].reshape(count, n, fan_out)
+        np.matmul(h, rows[sel, w].reshape(count, fan_in, fan_out), out=y)
+        y += rows[sel, None, b]
+        cache.append((x, h, y))
+    return logits, cache
+
+
+def _cross_entropy(spec: ModelSpec, logits: np.ndarray, labels: np.ndarray, runs, count: int):
+    """Mean cross-entropy per row (C,) of logits (N, K) and labels (N,),
+    the log-probs (N, K), computed in the logits' buffer, and the flat
+    index of each sample's label into them.  A row's loss may be NaN or Inf."""
+    # Log-softmax with max-subtraction, over the samples of all rows.
+    logp = logits
     logp -= np.maximum.reduce(logp, axis=1, keepdims=True)
     norm = np.add.reduce(np.exp(logp), axis=1, keepdims=True)
     logp -= np.log(norm, out=norm)
-    picks = (np.arange(count * n), labels.ravel())
-    try:
-        # Labels are non-negative (Batch), so only one too large fails.
-        picked = logp[picks]
-    except IndexError:
-        raise ValueError(
-            f"label {int(labels.max())} out of range for {spec.num_classes} classes"
-        ) from None
+    try:  # Labels are non-negative (Batch), so only one too large fails.
+        picks = np.ravel_multi_index((np.arange(len(labels)), labels), logp.shape)
+    except ValueError:
+        raise ValueError(f"label {int(labels.max())} out of range for {spec.num_classes} classes") from None
+    picked = logp.ravel()[picks]
     # np.mean's own float64 arithmetic, without its Python-level overhead.
-    losses = np.add.reduce(picked.reshape(count, n), axis=1)
-    losses /= n
+    losses = np.empty(count)
+    for sel, samples, rows_in_run, n in runs:
+        mean = losses[sel]
+        np.add.reduce(picked[samples].reshape(rows_in_run, n), axis=1, out=mean)
+        mean /= n
     return np.negative(losses, out=losses), logp, picks
 
 
-def _backward(spec: ModelSpec, feats: np.ndarray, logp, picks, cache, out=None) -> np.ndarray:
+def _backward(spec: ModelSpec, rows, logp, picks, cache, runs, out=None) -> np.ndarray:
     """Gradient rows (C, P) of the per-row mean cross-entropy, into ``out``
     if given; the softmax is taken in ``logp``'s buffer."""
-    count, n, _ = feats.shape
     dout = np.exp(logp, out=logp)
-    dout[picks] -= 1.0
-    dout /= n
-    dout = dout.reshape(count, n, -1)
-    grad = np.empty((count, spec.param_count)) if out is None else out
-    # Each layer's gradient is written into its slots of the rows, in the
-    # spec's layout, last layer first; dout is the gradient at its output.
-    (w, b, fan_in, fan_out), *rest = spec.layout
-    if rest:
-        pre, hidden, w2 = cache
-        ((w_out, b_out, hidden_dim, classes),) = rest
-        np.matmul(hidden.transpose(0, 2, 1), dout, out=grad[:, w_out].reshape(count, hidden_dim, classes))
-        np.add.reduce(dout, axis=1, out=grad[:, b_out])
-        dout = dout @ w2.transpose(0, 2, 1)
-        if spec.activation == "relu":
-            dout *= pre > 0.0
-        else:
-            slope = hidden**2
-            np.subtract(1.0, slope, out=slope)
-            dout *= slope
-    np.matmul(feats.transpose(0, 2, 1), dout, out=grad[:, w].reshape(count, fan_in, fan_out))
-    np.add.reduce(dout, axis=1, out=grad[:, b])
+    dout.ravel()[picks] -= 1.0
+    grad = np.empty(rows.shape) if out is None else out
+    # Each layer's gradient goes into its slots of the rows, last layer
+    # first; d is the gradient at its output, first the run's dout view.
+    for (sel, _, count, n), (x, h, d) in zip(runs, cache):
+        d /= n
+        for w, b, fan_in, fan_out in reversed(spec.layout):
+            np.matmul(h.transpose(0, 2, 1), d, out=grad[sel, w].reshape(count, fan_in, fan_out))
+            np.add.reduce(d, axis=1, out=grad[sel, b])
+            if h is x:
+                break
+            # Back through the output layer and the activations h.
+            d = d @ rows[sel, w].reshape(count, fan_in, fan_out).transpose(0, 2, 1)
+            if spec.activation == "relu":
+                d *= h > 0.0  # max(pre, 0) > 0 exactly where pre > 0
+            else:
+                d *= 1.0 - h**2
+            h = x
     return grad
 
 
 def loss_and_grad_rows(
     spec: ModelSpec, rows: np.ndarray, features: np.ndarray,
-    labels: np.ndarray, out: np.ndarray | None = None,
+    labels: np.ndarray, sizes, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy and its gradient for C stacked (params, batch) pairs.
 
-    ``rows`` is (C, P), ``features`` (C, n, d) and ``labels`` (C, n), all
+    ``rows`` is (C, P); row c's batch is ``sizes[c]`` samples, and the
+    batches lie end to end in ``features`` (N, d) and ``labels`` (N,), all
     trusted.  Returns losses (C,) and gradient rows (C, P): ``out``, a
     (C, P) float64 array whose rows are P contiguous values, when given.
     Row c holds the bits ``loss_and_grad`` gives for row c alone.
     Nothing is checked finite: the caller decides per row.
     """
-    logits, cache = _forward(spec, rows, features)
-    losses, logp, picks = _cross_entropy(spec, logits, labels)
-    return losses, _backward(spec, features, logp, picks, cache, out)
+    runs = _runs(sizes)
+    total, count = runs[-1][1].stop if runs else 0, len(rows)
+    if total != len(features) or len(sizes) != count:
+        raise ValueError(
+            f"{len(sizes)} batch sizes summing to {total} for {count} rows of {len(features)} samples"
+        )
+    logits, cache = _forward(spec, rows, features, runs)
+    losses, logp, picks = _cross_entropy(spec, logits, labels, runs, count)
+    return losses, _backward(spec, rows, logp, picks, cache, runs, out)
 
 
 def _finite(loss: np.floating) -> float:
@@ -244,15 +264,16 @@ def _finite(loss: np.floating) -> float:
 
 def mean_loss(spec: ModelSpec, params: ParamVector, batch: Batch) -> float:
     """Forward-only mean cross-entropy (used by the finite-difference oracle)."""
-    logits, _ = _forward(spec, params.values[None], batch.features[None])
-    return _finite(_cross_entropy(spec, logits, batch.labels[None])[0][0])
+    runs = _runs([len(batch)])
+    logits, _ = _forward(spec, params.values[None], batch.features, runs)
+    return _finite(_cross_entropy(spec, logits, batch.labels, runs, 1)[0][0])
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, ParamVector]:
     """Mean cross-entropy and its exact gradient as a flat vector: the
     one-row case of ``loss_and_grad_rows``."""
     losses, grads = loss_and_grad_rows(
-        spec, params.values[None], batch.features[None], batch.labels[None]
+        spec, params.values[None], batch.features, batch.labels, [len(batch)]
     )
     return _finite(losses[0]), ParamVector._own(grads[0])
 
@@ -279,9 +300,10 @@ def finite_diff_grad(
 
 def evaluate(spec: ModelSpec, params: ParamVector, batch: Batch) -> tuple[float, float]:
     """(mean loss, accuracy); argmax ties resolve to the lowest class index."""
-    logits, _ = _forward(spec, params.values[None], batch.features[None])
+    runs = _runs([len(batch)])
+    logits, _ = _forward(spec, params.values[None], batch.features, runs)
     # Taken before _cross_entropy shifts the logits in place.
-    preds = logits[0].argmax(axis=1)
-    loss = _finite(_cross_entropy(spec, logits, batch.labels[None])[0][0])
+    preds = logits.argmax(axis=1)
+    loss = _finite(_cross_entropy(spec, logits, batch.labels, runs, 1)[0][0])
     acc = float((preds == batch.labels).mean())
     return loss, acc

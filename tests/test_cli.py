@@ -18,6 +18,7 @@ from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.cli import GridResult, _parser, emit_report, main, run_grid
 from fedsim.config import parse_config
+from fedsim.numerics import fingerprint
 from fedsim.orchestrator import algorithm_name, run_experiment
 
 TINY = """
@@ -518,7 +519,9 @@ def test_usage_docstring_lists_each_verbs_options(capsys):
 def test_check_verb(capsys):
     assert main(["check"]) == 0
     printed = capsys.readouterr().out
-    assert [line.split(":")[0] for line in printed.splitlines()] == [
+    numerics, *lines = printed.splitlines()
+    assert numerics == f"numerics: {fingerprint()}"
+    assert [line.split(":")[0] for line in lines] == [
         f"ok   {name}" for name, _ in check_mod.CHECKS
     ]
     assert "ok   gradients" in printed and "ok   streams" in printed

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -505,7 +506,8 @@ def test_a_cohorts_deltas_are_read_only_all_the_way_down():
 # ------------------------------------------------------------------ cohorts
 
 # With batch_size 4: full batches of 4 and partial last batches of 1, 1,
-# 2 and 3 rows, so a step's groups hold runs of rows and scattered rows.
+# 2 and 3 rows, so in the second epoch equal batch sizes sit both next to
+# each other and apart among a step's rows.
 COHORT_SIZES = (13, 4, 8, 3, 13, 1, 20, 6, 9)
 
 
@@ -585,6 +587,56 @@ def test_cohort_order_is_invisible(permutation, epochs, opt_c):
         assert_same_result(got, base[i])
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list[list[int]]:
+    """The batch sizes of each ``loss_and_grad_rows`` call ``train_cohort`` makes."""
+    calls: list[list[int]] = []
+    kernel = client_mod.loss_and_grad_rows
+
+    def counting(spec, rows, features, labels, sizes, out=None):
+        calls.append(list(sizes))
+        return kernel(spec, rows, features, labels, sizes, out)
+
+    monkeypatch.setattr(client_mod, "loss_and_grad_rows", counting)
+    return calls
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_a_cohort_makes_one_kernel_call_per_local_step(kernel_calls, epochs):
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate(COHORT_SIZES)]
+    cfg = ClientConfig(local_epochs=epochs, batch_size=4)
+    ids = list(range(len(shards)))
+    results = train_cohort(SPEC, init_params(SPEC, 3), shards, cfg, 1, ids, seeded_orders(shards, cfg, ids))
+    steps = [update.step_count for update, _ in results]
+    assert len(kernel_calls) == max(steps) == epochs * 5
+    # Each call trains the clients with a step left, all of them.
+    assert [len(sizes) for sizes in kernel_calls] == [
+        sum(step < n for n in steps) for step in range(max(steps))
+    ]
+
+
+@pytest.mark.parametrize("spec", [SPEC, MLP_RELU, MLP_TANH], ids=["logistic", "relu", "tanh"])
+@pytest.mark.parametrize("opt_c", ["sgd", "scaf"])
+def test_two_epoch_cohorts_match_each_client_alone(kernel_calls, spec, opt_c):
+    """In the second epoch a step's batch sizes repeat apart, such as
+    4, 1, 4: each row still gets the bits of its client alone."""
+    shards = [make_shard(n, seed=cid, spec=spec) for cid, n in enumerate(COHORT_SIZES)]
+    ids = list(range(len(shards)))
+    w0 = init_params(spec, 3)
+    cfg = ClientConfig(opt_c=opt_c, local_epochs=2, batch_size=4, lr=0.05, control_option="II")
+    zero = ParamVector.zeros(spec.param_count)
+    controls = dict(global_c=zero, local_cs=[zero] * len(shards)) if opt_c == "scaf" else {}
+    cohort = train_cohort(spec, w0, shards, cfg, 2, ids, seeded_orders(shards, cfg, ids), **controls)
+    runs = [[n for k, n in enumerate(sizes) if k == 0 or sizes[k - 1] != n] for sizes in kernel_calls]
+    assert any(len(set(sizes)) < len(sizes) for sizes in runs), "no step has equal batch sizes apart"
+    for cid, (shard, got) in enumerate(zip(shards, cohort)):
+        alone = local_train(
+            spec, w0, shard, cfg, 2, cid, cid, global_c=controls.get("global_c"),
+            local_c=zero if controls else None,
+        )
+        assert_same_result(got, alone)
+
+
 def _diverging_shard(seed, n, huge_rows):
     rng = np.random.default_rng(seed)
     features = rng.normal(size=(n, SPEC.input_dim))
@@ -622,6 +674,27 @@ def test_cohort_raises_the_first_clients_divergence(lr, order, message):
         for shard, cid, seed in zip(shards, ids, seeds):
             local_train(SPEC, w0, shard, cfg, 3, cid, seed)
     assert str(alone.value) == str(exc_info.value)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_two_epoch_cohort_errors_keep_the_callers_order(order):
+    """Clients 3 and 5 diverge at different steps of two epochs: the error
+    raised is that of the first of them in the caller's order."""
+    values = init_params(SPEC, 0).values.copy()
+    values[0 : SPEC.input_dim * SPEC.num_classes : SPEC.num_classes] = 1e10
+    w0 = ParamVector(values)
+    all_ids = [3, 5, 8]
+    all_shards = [_diverging_shard(3, 13, 1), _diverging_shard(5, 10, 10), _diverging_shard(8, 6, 0)]
+    shards = [all_shards[i] for i in order]
+    ids = [all_ids[i] for i in order]
+    cfg = ClientConfig(opt_c="sgd", lr=0.1, batch_size=4, local_epochs=2)
+    with pytest.raises(DivergenceError) as exc_info:
+        train_cohort(SPEC, w0, shards, cfg, 3, ids, seeded_orders(shards, cfg, ids))
+    with pytest.raises(DivergenceError) as alone:
+        for shard, cid in zip(shards, ids):
+            local_train(SPEC, w0, shard, cfg, 3, cid, cid)
+    assert str(alone.value) == str(exc_info.value)
+    assert exc_info.value.client_id == next(cid for cid in ids if cid != 8)
 
 
 def test_a_finish_phase_error_comes_before_a_later_clients_step_error(monkeypatch):

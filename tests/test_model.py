@@ -324,7 +324,10 @@ def test_stacked_rows_match_each_row_alone_bit_for_bit(name, n):
         assert grad.values.tobytes() == ref_grad.tobytes()
         alone.append((np.float64(loss).tobytes(), grad.values.tobytes()))
     for stacked in STACK_ROWS:
-        losses, grads = loss_and_grad_rows(spec, rows[:stacked], feats[:stacked], labels[:stacked])
+        losses, grads = loss_and_grad_rows(
+            spec, rows[:stacked], feats[:stacked].reshape(-1, spec.input_dim),
+            labels[:stacked].ravel(), [n] * stacked,
+        )
         assert losses.shape == (stacked,) and grads.shape == (stacked, spec.param_count)
         got = [(losses[c].tobytes(), grads[c].tobytes()) for c in range(stacked)]
         assert got == alone[:stacked], f"{stacked} stacked rows differ from each row alone"
@@ -334,13 +337,14 @@ def test_stacked_rows_match_each_row_alone_bit_for_bit(name, n):
 def test_rows_written_into_out_hold_the_allocating_calls_bits(spec):
     rng = np.random.default_rng(9)
     rows = np.stack([init_params(spec, s).values for s in range(3)])
-    feats = rng.normal(size=(3, 5, spec.input_dim))
-    labels = rng.integers(0, spec.num_classes, size=(3, 5))
-    want_losses, want = loss_and_grad_rows(spec, rows, feats, labels)
+    sizes = [5, 5, 2]
+    feats = rng.normal(size=(sum(sizes), spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=sum(sizes))
+    want_losses, want = loss_and_grad_rows(spec, rows, feats, labels, sizes)
     # A run of rows inside a larger array, as a cohort's gradient rows are.
     cohort = np.full((5, spec.param_count), np.nan)
     buf = cohort[1:4]
-    losses, got = loss_and_grad_rows(spec, rows, feats, labels, out=buf)
+    losses, got = loss_and_grad_rows(spec, rows, feats, labels, sizes, out=buf)
     assert got is buf
     assert losses.tobytes() == want_losses.tobytes()
     assert cohort[1:4].tobytes() == want.tobytes()
@@ -352,17 +356,20 @@ def test_rows_written_into_out_hold_the_allocating_calls_bits(spec):
 def test_the_kernel_reads_read_only_inputs_and_writes_only_its_own(spec, stacked):
     rng = np.random.default_rng(stacked)
     rows = np.stack([init_params(spec, s).values for s in range(stacked)])
-    feats = rng.normal(size=(stacked, 6, spec.input_dim))
-    labels = rng.integers(0, spec.num_classes, size=(stacked, 6))
+    sizes = [6, 3, 6][:stacked]
+    starts = np.cumsum([0] + sizes)
+    feats = rng.normal(size=(sum(sizes), spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=sum(sizes))
     inputs = (rows, feats, labels)
     before = [arr.tobytes() for arr in inputs]
     for arr in inputs:
         arr.flags.writeable = False
     cohort = np.full((stacked + 2, spec.param_count), np.nan)
-    losses, _ = loss_and_grad_rows(spec, rows, feats, labels, out=cohort[1:-1])
+    losses, _ = loss_and_grad_rows(spec, rows, feats, labels, sizes, out=cohort[1:-1])
     assert np.isnan(cohort[[0, -1]]).all() and np.isfinite(cohort[1:-1]).all()
     for c in range(stacked):
-        params, batch = ParamVector(rows[c]), Batch(feats[c], labels[c])
+        mine = slice(starts[c], starts[c + 1])
+        params, batch = ParamVector(rows[c]), Batch(feats[mine], labels[mine])
         loss, grad = loss_and_grad(spec, params, batch)
         assert (loss, grad.values.tobytes()) == (losses[c], cohort[1 + c].tobytes())
         assert mean_loss(spec, params, batch) == loss
@@ -372,6 +379,47 @@ def test_the_kernel_reads_read_only_inputs_and_writes_only_its_own(spec, stacked
     for arr in inputs:
         with pytest.raises(ValueError, match="read-only"):
             arr += 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(STACK_SPECS))
+def test_rows_of_mixed_batch_sizes_match_each_row_alone_bit_for_bit(name, seed):
+    """One call over rows whose batches differ in size, as a cohort's
+    step with partial last batches makes."""
+    spec = STACK_SPECS[name]
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 41, size=12).tolist()
+    # Equal sizes next to each other and apart, and sizes 4 does not divide.
+    sizes[3:6] = [sizes[2]] * 3
+    sizes[9] = sizes[0]
+    sizes[7:9] = [13, 13]
+    assert sizes[8] != sizes[9] != sizes[10] and any(n % 4 for n in sizes)
+    rows = np.stack([init_params(spec, s).values for s in range(len(sizes))])
+    rows += 0.01 * rng.normal(size=rows.shape)
+    feats = rng.normal(size=(sum(sizes), spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=sum(sizes))
+    losses, grads = loss_and_grad_rows(spec, rows, feats, labels, sizes)
+    starts = np.cumsum([0] + sizes)
+    for c in range(len(sizes)):
+        mine = slice(starts[c], starts[c + 1])
+        loss, grad = loss_and_grad(spec, ParamVector(rows[c]), Batch(feats[mine], labels[mine]))
+        assert np.float64(loss).tobytes() == losses[c].tobytes(), f"row {c} (n={sizes[c]})"
+        assert grad.values.tobytes() == grads[c].tobytes(), f"row {c} (n={sizes[c]})"
+
+
+@pytest.mark.parametrize("spec", [LOGISTIC, MLP_TANH], ids=["logistic", "mlp1"])
+def test_the_kernel_names_sizes_that_do_not_fit_its_inputs(spec):
+    rng = np.random.default_rng(4)
+    rows = np.stack([init_params(spec, s).values for s in range(2)])
+    feats = rng.normal(size=(9, spec.input_dim))
+    labels = rng.integers(0, spec.num_classes, size=9)
+    with pytest.raises(ValueError, match=r"summing to 8 for 2 rows of 9 samples"):
+        loss_and_grad_rows(spec, rows, feats, labels, [4, 4])
+    with pytest.raises(ValueError, match=r"3 batch sizes summing to 9 for 2 rows"):
+        loss_and_grad_rows(spec, rows, feats, labels, [3, 3, 3])
+    wide = rng.normal(size=(9, spec.input_dim + 1))
+    with pytest.raises(ValueError, match=rf"feature dim {spec.input_dim + 1} does not match input_dim {spec.input_dim}"):
+        loss_and_grad_rows(spec, rows, wide, labels, [4, 5])
 
 
 @pytest.mark.parametrize("n", [1, 7, 33, 128])
