@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -52,17 +55,6 @@ class GridResult:
     @property
     def any_diverged(self) -> bool:
         return any(cell.result.diverged for cell in self.cells)
-
-
-def _best_acc_at(result: ExperimentResult, round_idx: int) -> float:
-    """Best-so-far test accuracy recorded at a checkpoint round.  Round 0,
-    a zero-round run's only checkpoint, is the initial evaluation."""
-    if round_idx == 0:
-        return result.best_acc
-    for rm in result.metrics:
-        if rm.round_idx == round_idx and rm.best_acc is not None:
-            return rm.best_acc
-    return float("nan")
 
 
 def run_grid(
@@ -106,9 +98,32 @@ def _acc_cell(value: float) -> str:
     return repr(float(value)) if np.isfinite(value) else "nan"
 
 
-def _mean_or_nan(values: list[float]) -> float:
+def _mean_or_nan(values: Sequence[float]) -> float:
     finite = [v for v in values if np.isfinite(v)]
     return float(np.mean(finite)) if finite else float("nan")
+
+
+def _cell_accs(grid_result: GridResult) -> list[tuple[GridCell, list[float]]]:
+    """Each cell with its best-so-far test accuracy at each checkpoint,
+    read once from its metrics: nan where the cell recorded none.  Round
+    0, a zero-round run's only checkpoint, is the initial evaluation."""
+    checkpoints = grid_result.spec.resolved_checkpoints()
+    table = []
+    for cell in grid_result.cells:
+        recorded = {rm.round_idx: rm.best_acc for rm in cell.result.metrics if rm.best_acc is not None}
+        recorded[0] = cell.result.best_acc
+        table.append((cell, [recorded.get(t, math.nan) for t in checkpoints]))
+    return table
+
+
+def _write_report(path: str | Path, grid_result: GridResult, lead: tuple, tail: tuple, rows: list) -> None:
+    """A report's CSV: the fixed columns, ``lead``, one best_acc_round_<t>
+    column per checkpoint, then ``tail``."""
+    accs = [f"best_acc_round_{t}" for t in grid_result.spec.resolved_checkpoints()]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*REPORT_COLUMNS_FIXED, *lead, *accs, *tail])
+        writer.writerows(rows)
 
 
 def emit_report(grid_result: GridResult, path: str | Path) -> None:
@@ -116,70 +131,37 @@ def emit_report(grid_result: GridResult, path: str | Path) -> None:
 
     Columns: algorithm_name, opt_c, opt_s, one best_acc_round_<t> column
     per checkpoint (best-so-far accuracy at round t, averaged over the
-    seeds that finished), argmax_at (the checkpoints where this row tops
-    its column), and status naming any diverged seeds.  Cells with no
-    surviving seed hold nan.  Re-emitting writes identical bytes.
+    seeds that recorded it, a seed that diverged later included),
+    argmax_at (the checkpoints where this row tops its column), and
+    status naming any diverged seeds.  A checkpoint no seed recorded
+    holds nan.  Re-emitting writes identical bytes.
     """
     spec = grid_result.spec
-    checkpoints = spec.resolved_checkpoints()
-    header = (
-        list(REPORT_COLUMNS_FIXED)
-        + [f"best_acc_round_{t}" for t in checkpoints]
-        + ["argmax_at", "status"]
-    )
-    pairs = [
-        (opt_c, opt_s)
-        for opt_c in spec.opt_c
-        for opt_s in spec.opt_s
-        if any(c.opt_c == opt_c and c.opt_s == opt_s for c in grid_result.cells)
-    ]
-    table: dict[tuple[str, str], list[float]] = {}
-    status: dict[tuple[str, str], str] = {}
-    for pair in pairs:
-        group = [c for c in grid_result.cells if (c.opt_c, c.opt_s) == pair]
-        table[pair] = [
-            _mean_or_nan([_best_acc_at(c.result, t) for c in group]) for t in checkpoints
-        ]
-        bad = sorted(c.seed for c in group if c.result.diverged)
-        status[pair] = "ok" if not bad else "diverged:" + ",".join(map(str, bad))
-    # column argmax annotation: which checkpoints this algorithm wins
-    winners: dict[tuple[str, str], list[int]] = {pair: [] for pair in pairs}
-    for j, t in enumerate(checkpoints):
-        col = [table[pair][j] for pair in pairs]
-        if not any(np.isfinite(v) for v in col):
-            continue
-        top = np.nanmax(col)
-        for pair, v in zip(pairs, col):
-            if np.isfinite(v) and v == top:
-                winners[pair].append(t)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pair in pairs:
-            row = [algorithm_name(*pair), pair[0], pair[1]]
-            row += [_acc_cell(v) for v in table[pair]]
-            row.append(",".join(str(t) for t in winners[pair]))
-            row.append(status[pair])
-            writer.writerow(row)
+    groups: dict[tuple[str, str], list[tuple[GridCell, list[float]]]] = {}
+    for cell, accs in _cell_accs(grid_result):
+        groups.setdefault((cell.opt_c, cell.opt_s), []).append((cell, accs))
+    pairs = [pair for pair in itertools.product(spec.opt_c, spec.opt_s) if pair in groups]
+    means = [[_mean_or_nan(col) for col in zip(*(accs for _, accs in groups[pair]))] for pair in pairs]
+    # Each checkpoint's best mean (nan if none is finite); a row wins the
+    # checkpoints where it holds it.
+    tops = [np.nanmax(col) if np.isfinite(col).any() else math.nan for col in zip(*means)]
+    rows = []
+    for pair, row in zip(pairs, means):
+        wins = [t for t, v, top in zip(spec.resolved_checkpoints(), row, tops) if v == top]
+        bad = sorted(cell.seed for cell, _ in groups[pair] if cell.result.diverged)
+        status = "diverged:" + ",".join(map(str, bad)) if bad else "ok"
+        rows.append([algorithm_name(*pair), *pair, *map(_acc_cell, row), ",".join(map(str, wins)), status])
+    _write_report(path, grid_result, (), ("argmax_at", "status"), rows)
 
 
 def emit_per_seed_report(grid_result: GridResult, path: str | Path) -> None:
     """Per-seed companion to the summary report (same accuracy columns)."""
-    checkpoints = grid_result.spec.resolved_checkpoints()
-    header = (
-        list(REPORT_COLUMNS_FIXED)
-        + ["seed"]
-        + [f"best_acc_round_{t}" for t in checkpoints]
-        + ["status"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for cell in grid_result.cells:
-            row = [algorithm_name(cell.opt_c, cell.opt_s), cell.opt_c, cell.opt_s, cell.seed]
-            row += [_acc_cell(_best_acc_at(cell.result, t)) for t in checkpoints]
-            row.append(cell.result.status)
-            writer.writerow(row)
+    rows = [
+        [algorithm_name(cell.opt_c, cell.opt_s), cell.opt_c, cell.opt_s, cell.seed]
+        + [*map(_acc_cell, accs), cell.result.status]
+        for cell, accs in _cell_accs(grid_result)
+    ]
+    _write_report(path, grid_result, ("seed",), ("status",), rows)
 
 
 def _print_round(run: FederatedRun, rm: RoundMetrics) -> None:

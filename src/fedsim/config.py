@@ -251,6 +251,9 @@ class GridSpec:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} contains duplicates: {list(values)}")
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seeds must be >= 0, got {seed}")
         cells = self.cells()
         if not cells:
             raise ValueError("grid must sweep at least one opt_c, opt_s, and seed")
@@ -259,8 +262,8 @@ class GridSpec:
         for t in self.checkpoints:
             if not (0 < t <= self.base.rounds) or not self.base.is_eval_round(t):
                 raise ValueError(
-                    f"checkpoint {t} is never evaluated (rounds={self.base.rounds}, "
-                    f"eval_every={self.base.eval_every})"
+                    f"checkpoints must be evaluated rounds: {t} is never evaluated "
+                    f"(rounds={self.base.rounds}, eval_every={self.base.eval_every})"
                 )
         if tuple(sorted(self.checkpoints)) != self.checkpoints:
             raise ValueError(f"checkpoints must be sorted ascending: {self.checkpoints}")

@@ -95,9 +95,12 @@ def gen_synthetic(
         raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = seeded_rng(seed, TAG_SYNTH)
     means = rng.normal(0.0, 1.0, size=(num_classes, dim))
-    feats = np.vstack(
-        [means[k] + spread * rng.standard_normal((samples_per_class, dim)) for k in range(num_classes)]
-    )
+    with np.errstate(over="ignore"):  # an overflow is reported below, by key
+        feats = np.vstack(
+            [means[k] + spread * rng.standard_normal((samples_per_class, dim)) for k in range(num_classes)]
+        )
+    if not np.isfinite(feats).all():
+        raise ValueError(f"spread {spread!r} is so large that the synthetic features overflow")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
     return Dataset(feats, labels, num_classes)
 

@@ -458,8 +458,13 @@ class FederatedRun:
         return num_selected * (down + up)
 
     def run_round(self, round_idx: int) -> RoundMetrics:
-        """Advance round ``round_idx`` (1..``rounds``); raises DivergenceError
-        if any client blows up."""
+        """Advance round ``round_idx`` (1..``rounds``).
+
+        A client that blows up raises DivergenceError, which names the
+        client and local step.  A non-finite fold, server step or test
+        loss raises NonFiniteError; ``run`` reports both as a divergence
+        at this round.
+        """
         t0 = time.perf_counter()
         cfg = self.cfg
         if not 1 <= round_idx <= cfg.rounds:
@@ -496,19 +501,16 @@ class FederatedRun:
                 new_controls.append((upd.client_id, new_local))
             del upd
 
-        try:
-            delta = aggregate(sums)
-            if scaf:
-                control_delta = aggregate_control(sums)
-                new_c = ParamVector._own(self.state.c.values + control_delta.values)
-                self.state = replace(self.state, c=new_c)
-                self.controls.update(new_controls)
-            self.state = server_step(self.state, delta, cfg.server)
-            test_loss = test_acc = best = None
-            if cfg.is_eval_round(round_idx):
-                test_loss, test_acc, best = self._record_eval()
-        except NonFiniteError as exc:
-            raise DivergenceError(round_idx, None, None, str(exc)) from exc
+        delta = aggregate(sums)
+        if scaf:
+            control_delta = aggregate_control(sums)
+            new_c = ParamVector._own(self.state.c.values + control_delta.values)
+            self.state = replace(self.state, c=new_c)
+            self.controls.update(new_controls)
+        self.state = server_step(self.state, delta, cfg.server)
+        test_loss = test_acc = best = None
+        if cfg.is_eval_round(round_idx):
+            test_loss, test_acc, best = self._record_eval()
         self.last_delta = delta
 
         train_loss = float(np.mean(losses))
@@ -533,40 +535,34 @@ class FederatedRun:
         on_round: Callable[["FederatedRun", RoundMetrics], None] | None = None,
         include_timing: bool = True,
     ) -> ExperimentResult:
-        """Run all rounds; on divergence, stop and flush what exists."""
+        """Run all rounds; on divergence, stop and flush what exists.  A
+        non-finite test loss of the initial model is a divergence at round 0."""
         out = Path(out_dir) if out_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
 
-        # The initial model seeds best-accuracy tracking but contributes no
-        # metrics row: the series covers training rounds 1..T only.
-        if self.best_acc == -math.inf:
-            self._record_eval()
-
         status, error = "ok", None
-        for round_idx in range(1, self.cfg.rounds + 1):
-            try:
+        round_idx = 0
+        try:
+            # The initial model seeds best-accuracy tracking but contributes
+            # no metrics row: the series covers training rounds 1..T only.
+            if self.best_acc == -math.inf:
+                self._record_eval()
+            for round_idx in range(1, self.cfg.rounds + 1):
                 rm = self.run_round(round_idx)
-            except DivergenceError as exc:
-                self.metrics.append(
-                    RoundMetrics(
-                        round_idx=exc.round_idx,
-                        selected=(),
-                        train_loss=None,
-                        test_loss=None,
-                        test_acc=None,
-                        best_acc=None,
-                        wall_ms=0.0,
-                        payload_bytes=0,
-                        status="diverged",
-                    )
-                )
-                status, error = "diverged", str(exc)
-                break
-            if on_round is not None:
-                on_round(self, rm)
-            if out is not None and self.cfg.is_eval_round(round_idx):
-                self._flush(out, include_timing)
+                if on_round is not None:
+                    on_round(self, rm)
+                if out is not None and self.cfg.is_eval_round(round_idx):
+                    self._flush(out, include_timing)
+        except (DivergenceError, NonFiniteError) as exc:
+            if isinstance(exc, NonFiniteError):
+                exc = DivergenceError(round_idx, None, None, str(exc))
+            sentinel = RoundMetrics(
+                exc.round_idx, selected=(), train_loss=None, test_loss=None, test_acc=None,
+                best_acc=None, wall_ms=0.0, payload_bytes=0, status="diverged",
+            )
+            self.metrics.append(sentinel)
+            status, error = "diverged", str(exc)
 
         result = ExperimentResult(
             config=self.cfg,

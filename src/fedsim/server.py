@@ -11,8 +11,9 @@ Under scaf the clients' control differences are averaged the same way.
 The sums are folds: a ``RoundSum``, built from the round's sample counts
 before any client trains, adds each update into running sums in sampling
 order, so a round need hold only the updates of the cohort that just
-finished.  ``aggregate`` and ``aggregate_control`` finish a fold; given a
-list of updates, they fold it first.
+finished.  ``aggregate`` and ``aggregate_control`` finish a fold by value,
+leaving its sums as they are, so finishing it again gives the same
+vectors; given a list of updates, they fold it first.
 
 The pseudo-gradient then drives one of four server optimizers.  With
 first-moment m and second-moment v (both zero-initialized):
@@ -88,7 +89,9 @@ class RoundSum:
     sum_i w_i * delta_control_i, with w = sizes / sizes.sum().
 
     ``sizes`` are the round's sample counts in sampling order, and ``add``
-    takes the updates in that order, each added into zeros in turn.
+    takes the updates in that order, each added into zeros in turn.  Once
+    every update is in, ``aggregate`` and ``aggregate_control`` read the
+    sums without changing them.
     """
 
     def __init__(self, sizes: Sequence[int], length: int, control: bool = False, normalized: bool = False):
@@ -103,7 +106,6 @@ class RoundSum:
         self.delta = np.zeros(length)
         self.control = np.zeros(length) if control else None
         self.count = 0
-        self.finished: set[str] = set()
 
     def add(self, u: ClientUpdate) -> None:
         if self.count == len(self.weights):
@@ -132,10 +134,6 @@ def _fold(updates: RoundSum | list[ClientUpdate], control: bool) -> RoundSum:
     if isinstance(updates, RoundSum):
         if updates.count != len(updates.weights):
             raise ValueError(f"round sum holds {updates.count} of {len(updates.weights)} updates")
-        part = "control" if control else "delta"
-        if part in updates.finished:
-            raise ValueError(f"round sum's {part} sum was already finished")
-        updates.finished.add(part)
         return updates
     sums = RoundSum(
         [u.num_samples for u in updates],
@@ -149,11 +147,12 @@ def _fold(updates: RoundSum | list[ClientUpdate], control: bool) -> RoundSum:
 
 
 def aggregate(updates: RoundSum | list[ClientUpdate]) -> ParamVector:
-    """The round's pseudo-gradient: a finished fold, or a list of updates
-    folded in the order given.  A fold's sum is finished once."""
+    """The round's pseudo-gradient: a full fold, or a list of updates folded
+    in the order given.  FedNova's rescaled sum is a new array, so the
+    fold's own sum is never scaled."""
     sums = _fold(updates, control=False)
     if sums.normalized:
-        sums.delta *= float(np.dot(sums.weights, sums.norms))
+        return ParamVector._own(sums.delta * float(np.dot(sums.weights, sums.norms)))
     return ParamVector._own(sums.delta)
 
 

@@ -11,15 +11,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fedsim
 from fedsim import check as check_mod
 from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.cli import GridResult, _parser, emit_report, main, run_grid
-from fedsim.config import parse_config
+from fedsim.client import ClientConfig
+from fedsim.config import GridSpec, parse_config
 from fedsim.numerics import fingerprint
-from fedsim.orchestrator import algorithm_name, run_experiment
+from fedsim.orchestrator import DataConfig, ExperimentConfig, ModelConfig, algorithm_name, run_experiment
+from fedsim.server import ServerConfig
 
 TINY = """
 num_clients: 6
@@ -200,6 +203,70 @@ def test_wrong_section_value_type_names_its_key_and_line(tmp_path, capsys, verb,
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+NOT_POSITIVE = _floats(max_value=0.0)
+NEGATIVE = _floats(max_value=0.0, exclude_max=True)
+OUTSIDE_0_1 = st.one_of(NEGATIVE, _floats(min_value=1.0))  # outside [0, 1)
+
+#: Every settable numeric key, with values outside its range.  The grid
+#: keys are probed on a base of 4 rounds evaluated every 2, so that only
+#: rounds 2 and 4 are checkpoints.
+OUT_OF_RANGE = {
+    "client.local_epochs": st.integers(-1000, 0),
+    "client.batch_size": st.integers(-1000, 0),
+    "client.lr": NOT_POSITIVE,
+    "client.momentum": OUTSIDE_0_1,
+    "client.weight_decay": NEGATIVE,
+    "client.prox_mu": NEGATIVE,
+    "server.server_lr": NOT_POSITIVE,
+    "server.beta1": OUTSIDE_0_1,
+    "server.beta2": OUTSIDE_0_1,
+    "server.eps": NOT_POSITIVE,
+    "model.hidden_dim": st.integers(-1000, 0),
+    "data.alpha": NOT_POSITIVE,
+    "data.test_fraction": st.one_of(NOT_POSITIVE, _floats(min_value=1.0)),
+    "data.num_classes": st.integers(-1000, 1),
+    "data.dim": st.integers(-1000, 0),
+    "data.samples_per_class": st.integers(-1000, 1),
+    "data.spread": NOT_POSITIVE,
+    "num_clients": st.integers(-1000, 0),
+    "sample_ratio": st.one_of(NOT_POSITIVE, _floats(min_value=1.0, exclude_min=True)),
+    "rounds": st.integers(-1000, -1),
+    "eval_every": st.integers(-1000, 0),
+    "seed": st.integers(-1000, -1),
+    "grid.seeds": st.integers(-1000, -1),
+    "grid.checkpoints": st.integers(-1000, 1000).filter(lambda t: t not in (2, 4)),
+}
+
+
+def test_the_range_probes_cover_every_numeric_key():
+    numeric = {"int", "float", "int | None", "float | None", "tuple[int, ...]"}
+    owners = {"client": ClientConfig, "server": ServerConfig, "model": ModelConfig, "data": DataConfig}
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type in numeric}
+    for section, cls in {**owners, "grid": GridSpec}.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(cls) if f.type in numeric}
+    assert set(OUT_OF_RANGE) == keys
+
+
+@pytest.mark.parametrize("path", sorted(OUT_OF_RANGE))
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_out_of_range_value_exits_2_naming_its_key_and_line(tmp_path, capsys, builds, path, data):
+    value = data.draw(OUT_OF_RANGE[path], label=path)
+    section, _, key = path.rpartition(".")
+    setting = f"{key}: {[value] if section == 'grid' else value!r}"
+    if section:
+        setting = f"{section}: {{{'kind: mlp1, ' if key == 'hidden_dim' else ''}{setting}}}"
+    head = "rounds: 4\neval_every: 2\n" if section == "grid" else ""
+    assert main(["partition-stats", write_config(tmp_path, head + setting + "\n")]) == 2
+    line = head.count("\n") + 1
+    assert capsys.readouterr().err.startswith(f"config error: {path} (line {line}): ")
+    assert builds == []
+
+
 # The server step lands on finite parameters so large that the test loss
 # overflows: a divergence found by the round's evaluation.
 EVAL_OVERFLOW = """
@@ -232,6 +299,49 @@ def test_grid_records_a_non_finite_test_loss_as_a_diverged_cell(tmp_path, capsys
     rows = read_csv(out / "report.csv")
     assert [(r[0], r[-1]) for r in rows[1:]] == [("FedAdam", "diverged:0"), ("FedYogi", "diverged:0")]
     assert len(read_csv(out / "report_per_seed.csv")) == 3
+
+
+def write_huge_config(tmp_path, extra=""):
+    """A CSV whose features are all +-1.7e308: finite, so it loads, but the
+    initial model's test loss overflows before any round trains."""
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text(
+        "".join(f"{(-1) ** i * 1.7e308!r},{(-1) ** (i // 2) * 1.7e308!r},{i % 3}\n" for i in range(30))
+    )
+    text = f"num_clients: 2\nsample_ratio: 1.0\nrounds: 2\ndata: {{source: csv, path: {csv_path}}}\n"
+    return write_config(tmp_path, text + extra)
+
+
+def test_a_non_finite_initial_test_loss_is_a_divergence_at_round_0(tmp_path, capsys):
+    cfg = write_huge_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert "status: diverged (divergence at round 0: loss is NaN or Inf)" in capsys.readouterr().out
+    rows = read_csv(out / "metrics.csv")
+    assert [(r[0], r[-1]) for r in rows[1:]] == [("0", "diverged")]
+    initial = orchestrator_mod.FederatedRun(parse_config(cfg)).initial_params
+    for name in ("model_final.bin", "model_best.bin"):
+        assert fedsim.load_params(out / name).same_bits(initial), name
+
+
+def test_grid_reports_cells_that_diverge_at_round_0(tmp_path, capsys):
+    cfg = write_huge_config(tmp_path, "grid: {opt_c: [sgd], opt_s: [sgd, adam]}\n")
+    out = tmp_path / "out"
+    assert main(["grid", cfg, "--out", str(out)]) == 1
+    assert "diverged" in capsys.readouterr().err
+    rows = read_csv(out / "report.csv")
+    assert [r[3:] for r in rows[1:]] == [["nan", "", "diverged:0"]] * 2
+    per_seed = read_csv(out / "report_per_seed.csv")
+    assert [r[4:] for r in per_seed[1:]] == [["nan", "diverged"]] * 2
+
+
+@pytest.mark.parametrize("verb", ["run", "partition-stats"])
+def test_a_spread_that_overflows_the_features_exits_2_naming_spread(tmp_path, capsys, verb):
+    cfg = write_config(tmp_path, TINY.replace("spread: 1.0", "spread: 1.7e+308"))
+    assert main([verb, cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: spread 1.7e+308 is so large that the synthetic features overflow\n"
+    assert captured.out == ""
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -414,7 +414,7 @@ def test_grid_rejects_duplicates_and_bad_tokens(tmp_path):
     [
         ({"opt_c": ("sgd", "bogus")}, "unknown opt_c 'bogus'"),
         ({"opt_s": ("bogus",)}, "unknown opt_s 'bogus'"),
-        ({"seeds": (0, -1)}, "seed must be >= 0"),
+        ({"seeds": (0, -1)}, "seeds must be >= 0, got -1"),
         ({"opt_c": ()}, "grid must sweep at least one opt_c"),
         ({"seeds": ()}, "grid must sweep at least one opt_c, opt_s, and seed"),
     ],

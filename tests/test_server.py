@@ -202,20 +202,21 @@ def test_a_round_sum_takes_no_update_past_its_end():
 
 
 @pytest.mark.parametrize("kind", ["plain", "nova", "scaf"])
-def test_a_round_sums_each_sum_is_finished_once(kind):
+def test_finishing_a_round_sum_twice_gives_the_same_bits(kind):
     nova, scaf = kind == "nova", kind == "scaf"
     sums = RoundSum([1, 3], 2, control=scaf, normalized=nova)
     for cid, n in ((0, 1), (1, 3)):
         sums.add(upd(cid, [1.0, -2.0], n, 2.0 if nova else None, [0.5, 1.0] if scaf else None))
-    first = aggregate(sums)
-    with pytest.raises(ValueError, match=r"^round sum's delta sum was already finished$"):
-        aggregate(sums)
-    if scaf:
-        control = aggregate_control(sums)
-        with pytest.raises(ValueError, match=r"^round sum's control sum was already finished$"):
-            aggregate_control(sums)
-        assert control.values.tolist() == [0.5, 1.0]
+    first, again = aggregate(sums), aggregate(sums)
     assert first.values.tolist() == [1.0, -2.0]
+    assert again.same_bits(first)
+    # FedNova's rescaling goes into a new array: the fold keeps its sum
+    # of normalized deltas.
+    assert sums.delta.tolist() == ([0.5, -1.0] if nova else [1.0, -2.0])
+    if scaf:
+        control, again = aggregate_control(sums), aggregate_control(sums)
+        assert control.values.tolist() == [0.5, 1.0]
+        assert again.same_bits(control)
     with pytest.raises(ValueError, match="already holds 2 of 2 updates"):
         sums.add(upd(2, [1.0, 1.0], 1))
 
