@@ -157,7 +157,10 @@ def check_cohort() -> str:
     alone on its schedule seed, bit for bit; neither stacking on this
     numpy/BLAS nor the clients' order may change a bit.  A twin of the
     largest client (its rows reversed, its seed and orders, its own id)
-    ties with it, so reversing the order swaps their stack rows."""
+    ties with it, so reversing the order swaps their stack rows.  Option
+    I keeps a relu MLP's control of 3 rows, under its 6 inputs, as a
+    first-layer factor and one of 9 rows dense: both rebuild, on this
+    BLAS, to the one-row gradient's bits."""
     base = _tiny_config()
     run = FederatedRun(replace(base, client=replace(base.client, local_epochs=2)))
     schedule = prepare_schedule(run.cfg)
@@ -187,6 +190,15 @@ def check_cohort() -> str:
             )
             for cid, got, want in zip(ids[way], cohort, alone[way]):
                 _require(_same_result(got, want), f"{opt_c}: client {cid} differs in a cohort from alone")
+    spec = ModelSpec("mlp1", 6, 3, hidden_dim=5, activation="relu")
+    w, zero = init_params(spec, 5), ParamVector.zeros(spec.param_count)
+    pair = [_random_batch(spec, seed=6, n=3), _random_batch(spec, seed=7, n=9)]
+    orders = [[np.arange(len(shard))] for shard in pair]
+    got = train_cohort(spec, w, pair, ClientConfig(opt_c="scaf"), 1, [0, 1], orders, zero, [zero, zero])
+    for shard, (_, control) in zip(pair, got):
+        right_form = (control.factor is not None) == (len(shard) < 6)
+        same = right_form and control.same_bits(loss_and_grad(spec, w, shard)[1])
+        _require(same, f"option I's control of {len(shard)} rows is not its one-row gradient")
     mechanisms = ", ".join(CLIENT_OPTIMIZERS)
     return f"{len(ids)} clients in a cohort, in schedule and reverse order, match each alone for {mechanisms}"
 

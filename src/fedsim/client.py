@@ -10,8 +10,10 @@ augmented by one of three drift-mitigation mechanisms selected by ``opt_c``:
   - ``prox``: proximal pull mu * (w_local - w_global) added to each
     mini-batch gradient, folded in before momentum.
   - ``scaf``: control-variate correction (c_global - c_local) added to
-    each mini-batch gradient; the client also returns its updated
-    control variate and the difference the server needs.
+    each mini-batch gradient; the client also returns the difference the
+    server needs and its updated control variate, kept as a ``Control``:
+    under option I, a client whose shard has fewer rows than the model's
+    inputs keeps its first-layer factor, so none keeps more than P values.
   - ``nova``: plain local steps, but the update carries the L1 norm of
     the momentum accumulation coefficients so the server can normalize
     away heterogeneous step counts.
@@ -26,23 +28,24 @@ switched off (mu = 0, momentum = 0, weight decay = 0) skip their branch
 entirely, so disabling one reproduces the plain path bit for bit.
 
 ``train_cohort`` runs a round's clients side by side.  Their w and u
-are rows of (clients x P) arrays in slot order: most steps first and,
-among equal steps, the larger last batch first, so the clients still
-training at a step are a prefix of the rows.  Each local step is one
-``loss_and_grad_rows`` call on that prefix, with each row's batch size
-(full, or its partial last batch) from a table built once per cohort,
-and every step's batches gathered once, end to end; the step formulas
-above then run once on the prefix.  Every client keeps its own batch
-orders, one shuffle of its rows per epoch, which the caller passes in:
-a run takes them from its schedule.  A row that stops being finite
-keeps its slot; its first divergence is kept and its later values are
-thrown away (their warnings stay inside ``np.errstate``).
-Results and errors come back in the caller's order: each row gets the
-bits the client would get alone, and a divergence is the one training
-the clients one after another would raise.  ``local_train`` is the
-cohort of one, whose orders ``epoch_batches`` derives from the client's
-seed: the reference path.  ``COHORT_BYTES`` caps a cohort's (clients x
-P) arrays, so a wide model trains in cohorts of one.
+(and old control variates, made dense once) are rows of (clients x P)
+arrays in slot order: most steps first and, among equal steps, the
+larger last batch first, so the clients still training at a step are a
+prefix of the rows.  Each local step is one ``loss_and_grad_rows`` call
+on that prefix, with each row's batch size (full, or its partial last
+batch) from a table built once per cohort, and every step's batches
+gathered once, end to end; the step formulas above then run once on the
+prefix, and option I's new control variates are one more call.  Every
+client keeps its own batch orders, one shuffle of its rows per epoch,
+which the caller passes in: a run takes them from its schedule.  A row
+that stops being finite keeps its slot; its first divergence is kept and
+its later values are thrown away (their warnings stay inside
+``np.errstate``).  Results and errors come back in the caller's order:
+each row gets the bits the client would get alone, and a divergence is
+the one training the clients one after another would raise.
+``local_train`` is the cohort of one, whose orders ``epoch_batches``
+derives from the seed: the reference path.  ``COHORT_BYTES`` caps a
+cohort's (clients x P) arrays, so a wide model trains in cohorts of one.
 """
 from __future__ import annotations
 
@@ -54,7 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import epoch_batches
-from .model import Batch, ModelSpec, loss_and_grad, loss_and_grad_rows
+# loss_and_grad stays importable here: the traced benchmark wraps
+# fedsim.client.loss_and_grad.
+from .model import Batch, ModelSpec, loss_and_grad, loss_and_grad_rows  # noqa: F401
 from .params import NonFiniteError, ParamVector
 
 CLIENT_OPTIMIZERS = ("sgd", "prox", "scaf", "nova")
@@ -148,34 +153,81 @@ def accum_coeff_norm(momentum: float, steps: int) -> float:
     return (steps - rho * (1.0 - rho**steps) / (1.0 - rho)) / (1.0 - rho)
 
 
-def update_control_variate(
-    option: str,
-    spec: ModelSpec,
-    shard: Batch,
-    global_w: ParamVector,
-    local_w: ParamVector | None,
-    global_c: ParamVector,
-    local_c: ParamVector,
-    steps: int,
-    lr: float,
-) -> ParamVector:
-    """New client control variate.
+@dataclass(frozen=True, eq=False, repr=False)
+class Control:
+    """A client's control variate as kept between rounds, read-only:
+    dense, ``rest`` is the whole vector; factored, features.T @ factor is
+    its first-layer weight block, with ``factor`` the (n, fan_out)
+    gradient at that layer's output over the client's n rows ``features``
+    (its shard's own array), and ``rest`` the values after the block.
+    ``stored`` factors exactly when n < fan_in: never more than P values."""
 
-    Option I re-evaluates the full gradient over ``shard`` at the
-    round-start global params (one extra pass, no stale terms) and does
-    not read ``local_w``, which may be None.  Option II reuses quantities
-    already computed: c_local - c_global + (w_global - w_local) / (steps * lr).
+    rest: np.ndarray
+    features: np.ndarray | None = None
+    factor: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in (self.rest, self.factor):
+            if arr is not None:
+                arr.flags.writeable = False
+
+    @classmethod
+    def stored(cls, row: np.ndarray, features: np.ndarray, factor: np.ndarray | None) -> "Control":
+        """Dense control ``row`` of the client whose rows are ``features``,
+        kept as its first-layer ``factor`` when one is given and smaller."""
+        if factor is None or len(features) >= features.shape[1]:
+            return cls(row.copy())
+        return cls(row[features.shape[1] * factor.shape[1] :].copy(), features, factor)
+
+    def write(self, row: np.ndarray) -> None:
+        """The dense form into ``row``, the block by the kernel's matmul."""
+        cut = len(row) - len(self.rest)
+        if self.factor is not None:
+            block = row[:cut].reshape(self.features.shape[1], -1)
+            np.matmul(np.ascontiguousarray(self.features).T, self.factor, out=block)
+        row[cut:] = self.rest
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense form: ``rest``, or else a new array."""
+        if self.factor is None:
+            return self.rest
+        row = np.empty(self.rest.size + self.features.shape[1] * self.factor.shape[1])
+        self.write(row)
+        return row
+
+    def same_bits(self, other: "Control | ParamVector") -> bool:
+        """True when both dense forms are byte-identical."""
+        return self.values.tobytes() == other.values.tobytes()
+
+
+def update_control_variate(
+    option: str, spec: ModelSpec, shards: Sequence[Batch], global_w: ParamVector,
+    local_ws: np.ndarray | None, global_c: ParamVector, local_cs: np.ndarray,
+    steps: Sequence[int], lr: float,
+) -> tuple[np.ndarray, np.ndarray | None, list[np.ndarray] | None]:
+    """New control variates of a cohort as (C, P) rows, not checked
+    finite; row c is that of shard ``shards[c]``, old control ``local_cs[c]``.
+
+    Option I re-evaluates each full-shard gradient at the round-start
+    global params (one extra pass, no stale terms) in one kernel call, and
+    also returns each row's loss and first-layer factor (see ``Control``).
+    Option II reuses quantities already computed, with ``local_ws[c]`` the
+    params after ``steps[c]`` steps: c_local - c_global + (w_global - w_local) / (steps * lr).
     """
     if option not in CONTROL_OPTIONS:
         raise ValueError(f"control option must be one of {CONTROL_OPTIONS}, got {option!r}")
     if option == "I":
-        _, grad = loss_and_grad(spec, global_w, shard)
-        return grad
-    if steps < 1 or not (lr > 0):
+        feats = np.concatenate([shard.features for shard in shards])
+        labels = np.concatenate([shard.labels for shard in shards])
+        rows = np.broadcast_to(global_w.values, (len(shards), len(global_w)))
+        factors: list[np.ndarray] = []
+        losses, grads = loss_and_grad_rows(spec, rows, feats, labels, [len(s) for s in shards], firsts=factors)
+        return grads, losses, factors
+    steps = np.asarray(steps)
+    if steps.min() < 1 or not (lr > 0):
         raise ValueError("option II needs steps >= 1 and lr > 0")
-    return ParamVector._own(
-        local_c.values - global_c.values + (global_w.values - local_w.values) / (steps * lr)
-    )
+    return local_cs - global_c.values + (global_w.values - local_ws) / (steps[:, None] * lr), None, None
 
 
 def local_train(
@@ -187,8 +239,8 @@ def local_train(
     client_id: int,
     seed: int,
     global_c: ParamVector | None = None,
-    local_c: ParamVector | None = None,
-) -> tuple[ClientUpdate, ParamVector | None]:
+    local_c: ParamVector | Control | None = None,
+) -> tuple[ClientUpdate, Control | None]:
     """Run one round of local training for client ``client_id``, whose
     rows are ``shard``; returns (update, new control variate).
 
@@ -222,8 +274,8 @@ def train_cohort(
     ids: Sequence[int],
     orders: Sequence[Sequence[np.ndarray]],
     global_c: ParamVector | None = None,
-    local_cs: Sequence[ParamVector] | None = None,
-) -> list[tuple[ClientUpdate, ParamVector | None]]:
+    local_cs: Sequence[ParamVector | Control] | None = None,
+) -> list[tuple[ClientUpdate, Control | None]]:
     """Run one round of local training for every shard, side by side.
 
     ``orders[i]`` holds shard i's batch order of each local epoch, a
@@ -254,9 +306,12 @@ def train_cohort(
     moms = np.zeros_like(rows) if cfg.momentum != 0.0 else None
     corrections = None
     if scaf:
-        corrections = np.empty_like(rows)
-        for row, i in zip(corrections, slots):
-            np.subtract(global_c.values, local_cs[i].values, out=row)
+        # Old controls, dense, once: the corrections and control deltas read them.
+        old = np.empty_like(rows)
+        for row, i in zip(old, slots):
+            control = local_cs[i]
+            (control if isinstance(control, Control) else Control(control.values)).write(row)
+        corrections = global_c.values - old
 
     # The cohort's samples end to end, and each slot's schedule over
     # them: order[k, t, :n] indexes slot k's batch of size n at step t,
@@ -286,6 +341,19 @@ def train_cohort(
     losses = np.empty((count, max(steps)))
     errors: list[DivergenceError | None] = [None] * count
 
+    def fail(bad: np.ndarray, detail: str, step: int | None = None) -> None:
+        # Each bad row's client diverges, if not yet, at ``step`` or after its steps.
+        for k in np.flatnonzero(bad).tolist():
+            at = steps[slots[k]] if step is None else step
+            errors[k] = errors[k] or DivergenceError(round_idx, ids[slots[k]], at, detail)
+
+    def own_rows(arr: np.ndarray) -> list:
+        try:
+            return ParamVector._own_rows(arr)
+        except NonFiniteError as exc:
+            fail(~np.isfinite(arr).all(axis=1), str(exc))
+            return [None] * count
+
     # Overflow shows up as a non-finite loss or w and is reported as
     # DivergenceError, so numpy's own warning is redundant.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -311,47 +379,31 @@ def train_cohort(
             w -= cfg.lr * g
             step_losses = losses[:live, step]
             if not (np.isfinite(step_losses).all() and np.isfinite(w).all()):
-                bad = ~(np.isfinite(step_losses) & np.isfinite(w).all(axis=1))
-                for k in np.flatnonzero(bad).tolist():
-                    errors[k] = errors[k] or _divergence(
-                        round_idx, ids[slots[k]], step, step_losses[k], grads[k]
-                    )
+                # The first of these is what the client alone would raise.
+                fail(~np.isfinite(step_losses), "loss is NaN or Inf", step)
+                fail(~np.isfinite(grads[:live]).all(axis=1), "vector contains NaN or Inf", step)
+                fail(~np.isfinite(w).all(axis=1), "parameters became NaN or Inf", step + 1)
 
-        # Every delta is made and checked finite at once.  A row that
-        # overflows gets the error its client alone would raise after its
-        # steps; an error is then raised at or before that row, so the
-        # stand-in deltas below never leave this function.
-        deltas = rows - w0
-        try:
-            delta_rows = ParamVector._own_rows(deltas)
-        except NonFiniteError as exc:
-            delta_rows = [None] * count
-            for k in np.flatnonzero(~np.isfinite(deltas).all(axis=1)).tolist():
-                errors[k] = errors[k] or DivergenceError(round_idx, ids[slots[k]], steps[slots[k]], str(exc))
+        # Deltas, and under scaf new control variates and their changes,
+        # are made and checked finite at once; a failed row's stand-in
+        # never leaves, as its error is raised at or before that row.
+        delta_rows, control_rows, kept = own_rows(rows - w0), [None] * count, [None] * count
+        if scaf:
+            new, control_losses, factors = update_control_variate(
+                cfg.control_option, spec, [shards[i] for i in slots], global_w, rows, global_c, old,
+                [steps[i] for i in slots], cfg.lr,
+            )
+            if control_losses is not None:
+                fail(~np.isfinite(control_losses), "loss is NaN or Inf")
+            control_rows = own_rows(new - old)
+            for k, i in enumerate(slots):
+                kept[k] = Control.stored(new[k], shards[i].features, factors[k] if factors else None)
         slot_of = {i: k for k, i in enumerate(slots)}
         results = []
-        for i, (shard, client_id) in enumerate(zip(shards, ids)):
+        for i, client_id in enumerate(ids):
             k = slot_of[i]
             if errors[k] is not None:
                 raise errors[k]
-            new_local_c: ParamVector | None = None
-            delta_control: ParamVector | None = None
-            try:
-                if scaf:
-                    new_local_c = update_control_variate(
-                        cfg.control_option,
-                        spec,
-                        shard,
-                        global_w,
-                        ParamVector._own(rows[k]) if cfg.control_option == "II" else None,
-                        global_c,
-                        local_cs[i],
-                        steps=steps[i],
-                        lr=cfg.lr,
-                    )
-                    delta_control = ParamVector._own(new_local_c.values - local_cs[i].values)
-            except NonFiniteError as exc:
-                raise DivergenceError(round_idx, client_id, steps[i], str(exc)) from exc
             last_epoch = losses[k, steps[i] - per_epoch[i] : steps[i]]
             update = ClientUpdate(
                 client_id=client_id,
@@ -359,18 +411,8 @@ def train_cohort(
                 num_samples=samples[i],
                 step_count=steps[i],
                 train_loss=float(last_epoch.sum() / per_epoch[i]),  # np.mean's arithmetic
-                delta_control=delta_control,
+                delta_control=control_rows[k],
                 coeff_norm=accum_coeff_norm(cfg.momentum, steps[i]) if cfg.opt_c == "nova" else None,
             )
-            results.append((update, new_local_c))
+            results.append((update, kept[k]))
     return results
-
-
-def _divergence(round_idx, client_id, step, loss, grad) -> DivergenceError:
-    """The error a client alone would have raised at ``step`` for a row
-    whose loss, gradient or new parameters are not all finite."""
-    if not np.isfinite(loss):
-        return DivergenceError(round_idx, client_id, step, "loss is NaN or Inf")
-    if not np.isfinite(grad).all():
-        return DivergenceError(round_idx, client_id, step, "vector contains NaN or Inf")
-    return DivergenceError(round_idx, client_id, step + 1, "parameters became NaN or Inf")

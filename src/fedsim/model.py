@@ -24,7 +24,8 @@ stacked matmul per layer, still one gemm with M = n per row, bias adds,
 activations, loss and bias-gradient sums, divisions by n), so every row
 gets the bits it would get alone and a single run costs what one stacked
 call did.  The kernel writes only its own temporaries (the log-softmax
-and softmax in place) and never its inputs.
+and softmax in place) and never its inputs; on request it hands back
+each row's gradient at the first layer's output, a copy.
 ``finite_diff_grad`` provides a slow central-difference oracle for
 validating the analytic gradients.
 """
@@ -207,7 +208,7 @@ def _cross_entropy(spec: ModelSpec, logits: np.ndarray, labels: np.ndarray, runs
     return np.negative(losses, out=losses), logp, picks
 
 
-def _backward(spec: ModelSpec, rows, logp, picks, cache, runs, out=None) -> np.ndarray:
+def _backward(spec: ModelSpec, rows, logp, picks, cache, runs, out=None, firsts=None) -> np.ndarray:
     """Gradient rows (C, P) of the per-row mean cross-entropy, into ``out``
     if given; the softmax is taken in ``logp``'s buffer."""
     dout = np.exp(logp, out=logp)
@@ -221,6 +222,8 @@ def _backward(spec: ModelSpec, rows, logp, picks, cache, runs, out=None) -> np.n
             np.matmul(h.transpose(0, 2, 1), d, out=grad[sel, w].reshape(count, fan_in, fan_out))
             np.add.reduce(d, axis=1, out=grad[sel, b])
             if h is x:
+                if firsts is not None:
+                    firsts.extend(map(np.copy, d))
                 break
             # Back through the output layer and the activations h.
             d = d @ rows[sel, w].reshape(count, fan_in, fan_out).transpose(0, 2, 1)
@@ -234,7 +237,7 @@ def _backward(spec: ModelSpec, rows, logp, picks, cache, runs, out=None) -> np.n
 
 def loss_and_grad_rows(
     spec: ModelSpec, rows: np.ndarray, features: np.ndarray,
-    labels: np.ndarray, sizes, out: np.ndarray | None = None,
+    labels: np.ndarray, sizes, out: np.ndarray | None = None, firsts: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy and its gradient for C stacked (params, batch) pairs.
 
@@ -243,7 +246,9 @@ def loss_and_grad_rows(
     trusted.  Returns losses (C,) and gradient rows (C, P): ``out``, a
     (C, P) float64 array whose rows are P contiguous values, when given.
     Row c holds the bits ``loss_and_grad`` gives for row c alone.
-    Nothing is checked finite: the caller decides per row.
+    Nothing is checked finite: the caller decides per row.  ``firsts``, if
+    given, gets a copy of each row's (n, fan_out) gradient d at the first
+    layer's output, whose x.T @ d is the row's first-layer weight gradient.
     """
     runs = _runs(sizes)
     total, count = runs[-1][1].stop if runs else 0, len(rows)
@@ -253,7 +258,7 @@ def loss_and_grad_rows(
         )
     logits, cache = _forward(spec, rows, features, runs)
     losses, logp, picks = _cross_entropy(spec, logits, labels, runs, count)
-    return losses, _backward(spec, rows, logp, picks, cache, runs, out)
+    return losses, _backward(spec, rows, logp, picks, cache, runs, out, firsts)
 
 
 def _finite(loss: np.floating) -> float:

@@ -34,6 +34,7 @@ import numpy as np
 # fedsim.orchestrator.local_train.
 from .client import (  # noqa: F401
     ClientConfig,
+    Control,
     DivergenceError,
     cohort_size,
     local_train,
@@ -426,11 +427,11 @@ class FederatedRun:
         w0 = init_params(self.spec, spawn_seed(cfg.seed, TAG_INIT))
         self.state = ServerState.initial(w0)
         self.initial_params = w0
-        # Per-client control variates persist across rounds; clients that
-        # have never been selected keep the zero vector.
-        self.controls: dict[int, ParamVector] = {}
+        # Per-client control variates (``client.Control``, at most P values
+        # each) persist across rounds; clients never selected share zero.
+        self.controls: dict[int, Control] = {}
         if cfg.opt_c == "scaf":
-            zero = ParamVector.zeros(len(w0))
+            zero = Control(ParamVector.zeros(len(w0)).values)
             self.controls = {cid: zero for cid in range(cfg.num_clients)}
         # Derived at the first round, so that set-up stays data and model.
         self._schedule: Schedule | None = None
@@ -482,7 +483,7 @@ class FederatedRun:
         # committed only once every cohort has trained.
         sums = RoundSum(sizes, self.spec.param_count, control=scaf, normalized=cfg.opt_c == "nova")
         losses: list[float] = []
-        new_controls: list[tuple[int, ParamVector | None]] = []
+        new_controls: list[tuple[int, Control | None]] = []
         for i in range(0, len(ids), size):
             part = ids[i : i + size]
             for upd, new_local in train_cohort(

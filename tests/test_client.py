@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim import client as client_mod
 from fedsim.client import (
     ClientConfig,
+    Control,
     DivergenceError,
     accum_coeff_norm,
     cohort_size,
@@ -227,7 +228,8 @@ def test_returned_vectors_are_read_only_and_not_aliased():
     state = replace(ServerState.initial(w0), m=c_g, v=ParamVector(np.abs(c_l.values)))
     served = [aggregate(updates), aggregate(nova), aggregate_control(updates)]
     w1 = ParamVector(w0.values + update.delta.values)
-    served.append(update_control_variate("II", SPEC, shard, w0, w1, c_g, c_l, 3, cfg.lr))
+    option_two = replace(cfg, control_option="II")
+    served.append(local_train(SPEC, w0, shard, option_two, 1, 0, 11, global_c=c_g, local_c=c_l)[1])
     for opt_s in ("sgd", "adam", "adagrad", "yogi"):
         new = server_step(state, served[0], ServerConfig(opt_s=opt_s))
         served += [new.w, new.m, new.v]
@@ -274,19 +276,56 @@ def test_scaf_option_one_is_full_batch_gradient_at_start():
 
 
 def test_update_control_variate_directly():
-    shard = make_shard(n=8)
+    shards = [make_shard(n=8), make_shard(n=3, seed=1)]
     w0 = init_params(SPEC, 1)
     w1 = init_params(SPEC, 2)
     zero = ParamVector.zeros(len(w0))
-    got = update_control_variate("I", SPEC, shard, w0, w1, zero, zero, steps=3, lr=0.1)
-    _, expected = loss_and_grad(SPEC, w0, shard)
-    assert got.same_bits(expected)
-    got2 = update_control_variate("II", SPEC, shard, w0, w1, zero, zero, steps=4, lr=0.5)
-    npt.assert_array_equal(got2.values, (w0.values - w1.values) / 2.0)
+    ws, olds = np.stack([w1.values, w0.values]), np.zeros((2, len(w0)))
+    got, losses, factors = update_control_variate("I", SPEC, shards, w0, ws, zero, olds, steps=[3, 3], lr=0.1)
+    for shard, row, loss, factor in zip(shards, got, losses, factors):
+        want_loss, expected = loss_and_grad(SPEC, w0, shard)
+        assert row.tobytes() == expected.values.tobytes() and loss == want_loss
+        assert factor.shape == (len(shard), SPEC.num_classes)
+    got2, losses2, factors2 = update_control_variate("II", SPEC, shards, w0, ws, zero, olds, steps=[4, 2], lr=0.5)
+    npt.assert_array_equal(got2[0], (w0.values - w1.values) / 2.0)
+    npt.assert_array_equal(got2[1], 0.0)
+    assert losses2 is None and factors2 is None
     with pytest.raises(ValueError):
-        update_control_variate("X", SPEC, shard, w0, w1, zero, zero, 1, 0.1)
+        update_control_variate("X", SPEC, shards, w0, ws, zero, olds, [1, 1], 0.1)
     with pytest.raises(ValueError):
-        update_control_variate("II", SPEC, shard, w0, w1, zero, zero, 0, 0.1)
+        update_control_variate("II", SPEC, shards, w0, ws, zero, olds, [1, 0], 0.1)
+
+
+@given(
+    spec=st.sampled_from([SPEC, MLP_RELU, MLP_TANH]),
+    sizes=st.lists(st.integers(1, 2 * SPEC.input_dim), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+@example(spec=SPEC, sizes=[3, 3, 4, 5, 3, 5], seed=0)
+@example(spec=MLP_RELU, sizes=[3, 3, 4, 5, 3, 5], seed=1)
+@example(spec=MLP_TANH, sizes=[5, 3, 4, 4, 3, 1], seed=2)
+@settings(max_examples=60, deadline=None)
+def test_a_stored_control_is_the_one_row_gradient(spec, sizes, seed):
+    """Option I's cohort pass, kept as ``Control``: factored exactly when
+    a shard has fewer rows than the model's inputs, never more than P
+    values, and its dense form the one-row gradient, bit for bit, whether
+    equal shard sizes sit next to each other or apart."""
+    shards = [make_shard(n, seed=seed + c, spec=spec) for c, n in enumerate(sizes)]
+    w0 = init_params(spec, seed)
+    count = spec.param_count
+    zero = ParamVector.zeros(count)
+    rows, _, factors = update_control_variate(
+        "I", spec, shards, w0, None, zero, np.zeros((len(shards), count)), [1] * len(shards), 0.1
+    )
+    for shard, row, factor in zip(shards, rows, factors):
+        control = Control.stored(row, shard.features, factor)
+        assert (control.factor is not None) == (len(shard) < spec.input_dim)
+        assert control.rest.size + (0 if control.factor is None else control.factor.size) <= count
+        _, want = loss_and_grad(spec, w0, shard)
+        assert control.same_bits(want)
+        dense = np.full(count, np.nan)
+        control.write(dense)
+        assert dense.tobytes() == want.values.tobytes()
 
 
 # ------------------------------------------------------------------ degenerate equivalences
@@ -412,22 +451,28 @@ def test_divergence_error_carries_location():
 
 
 def test_non_finite_control_variate_is_the_clients_divergence(monkeypatch):
-    def blow_up(*args, **kwargs):
-        raise NonFiniteError("vector contains NaN or Inf")
-
-    monkeypatch.setattr(client_mod, "update_control_variate", blow_up)
+    """A NaN in every row of the cohort's option-I pass is the first
+    client's divergence after its steps; a NaN loss is named first."""
+    real = client_mod.update_control_variate
     shards = [make_shard(n, seed=cid) for cid, n in enumerate((8, 12))]
     w0 = init_params(SPEC, 0)
     zero = ParamVector.zeros(len(w0))
     cfg = ClientConfig(opt_c="scaf", batch_size=4)
-    with pytest.raises(DivergenceError) as exc_info:
-        train_cohort(
-            SPEC, w0, shards, cfg, 5, [6, 9], seeded_orders(shards, cfg, (1, 2)),
-            global_c=zero, local_cs=[zero, zero],
-        )
-    err = exc_info.value
-    assert (err.round_idx, err.client_id, err.step) == (5, 6, 2)
-    assert str(err) == "divergence at round 5, client 6, local step 2: vector contains NaN or Inf"
+    for poison, detail in ((0, "vector contains NaN or Inf"), (1, "loss is NaN or Inf")):
+        def blow_up(*args):
+            *out, factors = real(*args)
+            out[poison][:] = np.nan
+            return (*out, factors)
+
+        monkeypatch.setattr(client_mod, "update_control_variate", blow_up)
+        with pytest.raises(DivergenceError) as exc_info:
+            train_cohort(
+                SPEC, w0, shards, cfg, 5, [6, 9], seeded_orders(shards, cfg, (1, 2)),
+                global_c=zero, local_cs=[zero, zero],
+            )
+        err = exc_info.value
+        assert (err.round_idx, err.client_id, err.step) == (5, 6, 2)
+        assert str(err) == f"divergence at round 5, client 6, local step 2: {detail}"
 
 
 def overflowing_start() -> ParamVector:
@@ -467,10 +512,12 @@ def test_a_cohorts_errors_keep_the_callers_order(monkeypatch):
         assert (exc_info.value.client_id, exc_info.value.step) == (6, 2)
 
     # Under scaf, a control-variate error of an earlier client comes first.
-    def blow_up_for_client_5(option, spec, shard, *args, **kwargs):
-        if shard is shards[0]:
-            raise NonFiniteError("vector contains NaN or Inf")
-        return ParamVector.zeros(spec.param_count)
+    real = client_mod.update_control_variate
+
+    def blow_up_for_client_5(option, spec, cohort, *args):
+        new, *rest = real(option, spec, cohort, *args)
+        new[np.array([shard is shards[0] for shard in cohort])] = np.nan
+        return (new, *rest)
 
     monkeypatch.setattr(client_mod, "update_control_variate", blow_up_for_client_5)
     cfg = replace(OVERFLOW_CFG, opt_c="scaf")
@@ -615,6 +662,32 @@ def test_a_cohort_makes_one_kernel_call_per_local_step(kernel_calls, epochs):
     ]
 
 
+def test_option_one_control_variates_are_one_more_kernel_call(monkeypatch):
+    """After the local steps, a scaf cohort's option-I pass is one call,
+    at the round-start params, that also hands back the first-layer
+    factors; a step call asks for none."""
+    calls = []
+    kernel = client_mod.loss_and_grad_rows
+
+    def counting(spec, rows, features, labels, sizes, out=None, firsts=None):
+        calls.append((list(sizes), firsts is not None, bool((rows == w0.values).all())))
+        return kernel(spec, rows, features, labels, sizes, out, firsts)
+
+    monkeypatch.setattr(client_mod, "loss_and_grad_rows", counting)
+    shards = [make_shard(n, seed=cid) for cid, n in enumerate(COHORT_SIZES)]
+    w0 = init_params(SPEC, 3)
+    zero = ParamVector.zeros(SPEC.param_count)
+    cfg = ClientConfig(opt_c="scaf", batch_size=4)
+    ids = list(range(len(shards)))
+    results = train_cohort(
+        SPEC, w0, shards, cfg, 1, ids, seeded_orders(shards, cfg, ids), global_c=zero, local_cs=[zero] * len(ids)
+    )
+    steps = max(update.step_count for update, _ in results)
+    assert len(calls) == steps + 1 and not any(asks for _, asks, _ in calls[:-1])
+    sizes, asks, at_start = calls[-1]
+    assert asks and at_start and sorted(sizes) == sorted(COHORT_SIZES)
+
+
 @pytest.mark.parametrize("spec", [SPEC, MLP_RELU, MLP_TANH], ids=["logistic", "relu", "tanh"])
 @pytest.mark.parametrize("opt_c", ["sgd", "scaf"])
 def test_two_epoch_cohorts_match_each_client_alone(kernel_calls, spec, opt_c):
@@ -703,10 +776,10 @@ def test_a_finish_phase_error_comes_before_a_later_clients_step_error(monkeypatc
     before client 9's divergence in its steps, as one after another."""
     real = client_mod.update_control_variate
 
-    def blow_up_for_eight_rows(option, spec, shard, *args, **kwargs):
-        if len(shard) == 8:
-            raise NonFiniteError("vector contains NaN or Inf")
-        return real(option, spec, shard, *args, **kwargs)
+    def blow_up_for_eight_rows(option, spec, cohort, *args):
+        new, *rest = real(option, spec, cohort, *args)
+        new[np.array([len(shard) == 8 for shard in cohort])] = np.nan
+        return (new, *rest)
 
     monkeypatch.setattr(client_mod, "update_control_variate", blow_up_for_eight_rows)
     values = init_params(SPEC, 0).values.copy()

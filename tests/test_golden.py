@@ -153,6 +153,18 @@ def test_the_corpus_covers_what_it_claims(tmp_path):
     assert len(GridSpec(BASE).cells()) == 16
 
 
+def test_the_corpus_keeps_controls_in_both_forms(tmp_path):
+    """Its scaf runs keep some control variates as first-layer factors
+    and some dense, so the pins hold the bits of both."""
+    factored = set()
+    for cfg in corpus(tmp_path).values():
+        if cfg.opt_c == "scaf":
+            run = orchestrator.FederatedRun(cfg)
+            run.run()
+            factored |= {control.factor is not None for control in run.controls.values()}
+    assert factored == {True, False}
+
+
 def test_outputs_hold_the_pinned_bits(tmp_path):
     pins = _pins()
     assert _mismatches(tmp_path, pins) == []

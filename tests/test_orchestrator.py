@@ -10,7 +10,7 @@ import pytest
 
 from fedsim import client as client_mod
 from fedsim import orchestrator as orchestrator_mod
-from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig, DivergenceError
+from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig, DivergenceError, cohort_size
 from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
 from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
 from fedsim.orchestrator import (
@@ -312,6 +312,30 @@ def test_a_client_diverging_in_a_later_cohort_leaves_the_run_as_it_was(monkeypat
         assert getattr(run.state, name).same_bits(getattr(state, name))
     assert run.controls.keys() == controls.keys()
     assert all(run.controls[cid].same_bits(controls[cid]) for cid in controls)
+
+
+def test_option_one_controls_are_kept_as_first_layer_factors_where_smaller():
+    """A client whose shard has fewer rows than the model's 12 inputs
+    keeps n * hidden + (P - 12 * hidden) values; the others, shard 0's
+    12 rows among them, keep P, and the never selected share the zero."""
+    cfg = tiny_config(
+        client=ClientConfig(opt_c="scaf", batch_size=8), rounds=3,
+        data=DataConfig(num_classes=3, dim=12, samples_per_class=30, spread=1.0),
+        model=ModelConfig(kind="mlp1", hidden_dim=6, activation="relu"),
+    )
+    run = FederatedRun(cfg)
+    run.run()
+    selected = set(orchestrator_mod.prepare_schedule(cfg).ids.ravel().tolist())
+    count, block = run.spec.param_count, 12 * 6
+    sizes = {cid: len(run.shards[cid]) for cid in selected}
+    factored = [cid for cid, n in sizes.items() if n < 12]
+    assert factored and len(factored) < len(selected) and 12 in sizes.values()
+    stored = {cid: c.rest.size + (0 if c.factor is None else c.factor.size) for cid, c in run.controls.items()}
+    assert sum(stored[cid] for cid in factored) == sum(sizes[cid] * 6 + count - block for cid in factored)
+    assert all(run.controls[cid].factor is None for cid in selected.difference(factored))
+    assert all(stored[cid] == count for cid in run.controls if cid not in factored)
+    for cid in selected:
+        assert run.controls[cid].values.size == count
 
 
 def test_seed_changes_results():
@@ -693,7 +717,7 @@ def test_experiment_config_validation():
 
 def test_traced_benchmark_hooks_hold(monkeypatch):
     """The hooks the traced benchmark wraps: one
-    ``update_control_variate`` per scaf client, reached through
+    ``update_control_variate`` per scaf cohort, reached through
     ``fedsim.client``; one ``aggregate`` and one ``server_step`` per
     round, plus one ``aggregate_control`` per scaf round, all reached
     through ``fedsim.orchestrator``; ``threads`` passed positionally.
@@ -720,7 +744,8 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
         scaf = opt_c == "scaf"
         expected = []
         for rm in result.metrics:
-            expected += ["update_control_variate"] * len(rm.selected) if scaf else []
+            cohorts = -(-len(rm.selected) // cohort_size(result.final_state.w.values.size))
+            expected += ["update_control_variate"] * cohorts if scaf else []
             expected += ["aggregate", "aggregate_control"] if scaf else ["aggregate"]
             expected += ["server_step"]
         assert calls == expected
