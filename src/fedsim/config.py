@@ -101,7 +101,8 @@ def _construct(cls, kwargs: dict, path: str, lines: dict[str, int]):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        key = f"{path}.{str(exc).split(' ', 1)[0]}"
+        name = str(exc).split(" ", 1)[0]
+        key = f"{path}.{name}" if path else name
         raise _err(key if key in lines else path, lines, str(exc)) from exc
 
 
@@ -299,8 +300,6 @@ def _build_experiment(top: dict, lines: dict[str, int]) -> ExperimentConfig:
             sections[name][key] = top.pop(key)
     for name, cls in _SECTIONS.items():
         sections[name] = _construct(cls, sections[name], name, lines)
-    for key, value in top.items():  # a top-level rule is reported at its key
-        _construct(ExperimentConfig, {key: value}, key, lines)
     return _construct(ExperimentConfig, {**sections, **top}, "", lines)
 
 

@@ -412,7 +412,9 @@ def prepare_schedule(cfg: ExperimentConfig) -> Schedule:
 
 
 class FederatedRun:
-    """Owns all mutable state of one experiment; advance it round by round."""
+    """Owns all mutable state of one experiment; advance it round by round.
+    ``run_round`` changes ``state``, ``controls``, ``best_acc``,
+    ``best_params``, ``last_delta`` and ``metrics`` together or not at all."""
 
     def __init__(self, cfg: ExperimentConfig, threads: int = 1):
         # Clients train serially; `threads` goes with ROADMAP item 1's bench change.
@@ -426,7 +428,6 @@ class FederatedRun:
         self.test_batch = data.test_batch
         w0 = init_params(self.spec, spawn_seed(cfg.seed, TAG_INIT))
         self.state = ServerState.initial(w0)
-        self.initial_params = w0
         # Per-client control variates (``client.Control``, at most P values
         # each) persist across rounds; clients never selected share zero.
         self.controls: dict[int, Control] = {}
@@ -440,15 +441,11 @@ class FederatedRun:
         self.best_params = w0
         self.last_delta: ParamVector | None = None
 
-    def _record_eval(self) -> tuple[float, float, float]:
-        # A blown-up model overflows on the way to its loss, which
-        # ``evaluate`` reports as NonFiniteError.
+    def _evaluate(self, w: ParamVector) -> tuple[float, float]:
+        """Test loss and accuracy of ``w``.  A blown-up model overflows on
+        the way to its loss, which ``evaluate`` reports as NonFiniteError."""
         with np.errstate(over="ignore", invalid="ignore"):
-            test_loss, test_acc = evaluate(self.spec, self.state.w, self.test_batch)
-        if test_acc > self.best_acc:
-            self.best_acc = test_acc
-            self.best_params = self.state.w
-        return test_loss, test_acc, self.best_acc
+            return evaluate(self.spec, w, self.test_batch)
 
     def _payload_bytes(self, num_selected: int) -> int:
         # Each way: the params, plus the control variate under scaf.
@@ -461,10 +458,11 @@ class FederatedRun:
     def run_round(self, round_idx: int) -> RoundMetrics:
         """Advance round ``round_idx`` (1..``rounds``).
 
-        A client that blows up raises DivergenceError, which names the
-        client and local step.  A non-finite fold, server step or test
-        loss raises NonFiniteError; ``run`` reports both as a divergence
-        at this round.
+        The round is computed into locals and committed at its end, so a
+        round that raises leaves the run as the last finished round left
+        it.  A client that blows up raises DivergenceError, which names the
+        client and local step.  A non-finite fold, server step or test loss
+        raises NonFiniteError; ``run`` reports both as a divergence here.
         """
         t0 = time.perf_counter()
         cfg = self.cfg
@@ -479,8 +477,7 @@ class FederatedRun:
         scaf = cfg.opt_c == "scaf"
         # Each cohort's updates are folded into the round's sums as it
         # finishes and then dropped (the loop variable too), so a round
-        # holds one cohort's updates.  The new control variates are
-        # committed only once every cohort has trained.
+        # holds one cohort's updates.
         sums = RoundSum(sizes, self.spec.param_count, control=scaf, normalized=cfg.opt_c == "nova")
         losses: list[float] = []
         new_controls: list[tuple[int, Control | None]] = []
@@ -503,30 +500,32 @@ class FederatedRun:
             del upd
 
         delta = aggregate(sums)
+        state = self.state
         if scaf:
-            control_delta = aggregate_control(sums)
-            new_c = ParamVector._own(self.state.c.values + control_delta.values)
-            self.state = replace(self.state, c=new_c)
-            self.controls.update(new_controls)
-        self.state = server_step(self.state, delta, cfg.server)
-        test_loss = test_acc = best = None
+            state = replace(state, c=ParamVector._own(state.c.values + aggregate_control(sums).values))
+        state = server_step(state, delta, cfg.server)
+        test_loss = test_acc = None
+        best_acc, best_params = self.best_acc, self.best_params
         if cfg.is_eval_round(round_idx):
-            test_loss, test_acc, best = self._record_eval()
-        self.last_delta = delta
+            test_loss, test_acc = self._evaluate(state.w)
+            if test_acc > best_acc:
+                best_acc, best_params = test_acc, state.w
 
-        train_loss = float(np.mean(losses))
-        wall_ms = (time.perf_counter() - t0) * 1000.0
         rm = RoundMetrics(
             round_idx=round_idx,
             selected=tuple(ids),
-            train_loss=train_loss,
+            train_loss=float(np.mean(losses)),
             test_loss=test_loss,
             test_acc=test_acc,
-            best_acc=best,
-            wall_ms=wall_ms,
+            best_acc=None if test_acc is None else best_acc,
+            wall_ms=(time.perf_counter() - t0) * 1000.0,
             payload_bytes=self._payload_bytes(len(ids)),
             status="ok",
         )
+        # The round's one commit: nothing above changed the run.
+        self.state, self.best_acc, self.best_params, self.last_delta = state, best_acc, best_params, delta
+        if scaf:
+            self.controls.update(new_controls)
         self.metrics.append(rm)
         return rm
 
@@ -548,7 +547,7 @@ class FederatedRun:
             # The initial model seeds best-accuracy tracking but contributes
             # no metrics row: the series covers training rounds 1..T only.
             if self.best_acc == -math.inf:
-                self._record_eval()
+                self.best_acc, self.best_params = self._evaluate(self.state.w)[1], self.state.w
             for round_idx in range(1, self.cfg.rounds + 1):
                 rm = self.run_round(round_idx)
                 if on_round is not None:
@@ -593,15 +592,11 @@ class FederatedRun:
 
 
 def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    on_round: Callable[[FederatedRun, RoundMetrics], None] | None = None,
-    include_timing: bool = True,
+    cfg: ExperimentConfig, out_dir: str | Path | None = None, include_timing: bool = True
 ) -> ExperimentResult:
-    """Build a run from the config and execute it end to end."""
-    return FederatedRun(cfg).run(
-        out_dir=out_dir, on_round=on_round, include_timing=include_timing
-    )
+    """Build a run from the config and execute it end to end; per-round
+    hooks go through ``FederatedRun.run``."""
+    return FederatedRun(cfg).run(out_dir=out_dir, include_timing=include_timing)
 
 
 def _fmt(value: float | None) -> str:
@@ -652,7 +647,7 @@ def _meta_fields(spec: ModelSpec) -> dict[str, str]:
     return {key: str(getattr(spec, key)) for key in _META_KEYS if getattr(spec, key) is not None}
 
 
-def save_params(path: str | Path, params: ParamVector, spec: ModelSpec | None = None) -> None:
+def save_params(path: str | Path, params: ParamVector, spec: ModelSpec) -> None:
     """Binary vector dump: u64-LE length header then float64-LE values.
 
     A human-readable sidecar (<path>.meta.txt) records the architecture
@@ -663,13 +658,12 @@ def save_params(path: str | Path, params: ParamVector, spec: ModelSpec | None = 
     with open(path, "wb") as fh:
         fh.write(np.array([arr.shape[0]], dtype="<u8").tobytes())
         fh.write(arr.astype("<f8").tobytes())
-    if spec is not None:
-        lines = [f"{key}: {value}" for key, value in _meta_fields(spec).items()]
-        lines.append(
-            "layout: per layer, weights row-major (fan_in x fan_out) then biases; "
-            "values are float64 little-endian after a u64 little-endian count"
-        )
-        Path(str(path) + ".meta.txt").write_text("\n".join(lines) + "\n")
+    lines = [f"{key}: {value}" for key, value in _meta_fields(spec).items()]
+    lines.append(
+        "layout: per layer, weights row-major (fan_in x fan_out) then biases; "
+        "values are float64 little-endian after a u64 little-endian count"
+    )
+    Path(str(path) + ".meta.txt").write_text("\n".join(lines) + "\n")
 
 
 def load_params(path: str | Path, spec: ModelSpec | None = None) -> ParamVector:

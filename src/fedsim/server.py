@@ -6,7 +6,11 @@ every update carries a coefficient norm (FedNova), each delta is first
 divided by it (undoing how many effective steps that client took) and
 the sum rescaled by the weighted mean norm, so clients with more local
 steps no longer dominate the direction.  Mixed rounds are rejected.
-Under scaf the clients' control differences are averaged the same way.
+Under scaf the clients' control differences are averaged the same way,
+and the round adds that average to c: c <- c + sum_{i in S} (n_i / n_S)
+* delta_c_i.  SCAFFOLD's Algorithm 1 (arXiv:1910.06378) adds (1/N) *
+sum_{i in S} delta_c_i over all N clients.  The two agree only at full
+participation with equal shards; at sample ratio s, c moves ~1/s as far.
 
 The sums are folds: a ``RoundSum``, built from the round's sample counts
 before any client trains, adds each update into running sums in sampling

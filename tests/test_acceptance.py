@@ -114,7 +114,7 @@ def test_criterion_2_centralized_gd_oracle():
     run = FederatedRun(cfg)
     train = run.shards[0]
 
-    w = run.initial_params.values.copy()
+    w = run.state.w.values.copy()
     reference = []
     for _ in range(cfg.rounds):
         _, grad = loss_and_grad(run.spec, ParamVector(w), train)
@@ -264,7 +264,7 @@ def test_criterion_3_degenerate_equivalences():
         **{**_small_run_kwargs(), "rounds": 12, "eval_every": 6},
     )
     run = FederatedRun(cfg)
-    w0v = run.initial_params.values.copy()
+    w0v = run.state.w.values.copy()
     deltas: list[np.ndarray] = []
     result = run.run(on_round=lambda r, rm: deltas.append(r.last_delta.values.copy()))
     assert result.status == "ok" and len(deltas) == 12

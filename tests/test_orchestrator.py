@@ -32,7 +32,7 @@ from fedsim.orchestrator import (
     shared_data,
     write_metrics_csv,
 )
-from fedsim.params import ParamVector
+from fedsim.params import NonFiniteError, ParamVector
 from fedsim.rng import spawn_seed
 from fedsim.server import ServerConfig
 
@@ -208,10 +208,11 @@ def test_scaf_control_variates_start_moving_after_round_one():
 def test_zero_rounds_gives_empty_series_and_initial_model():
     cfg = tiny_config(rounds=0)
     run = FederatedRun(cfg)
+    w0 = run.state.w
     result = run.run()
     assert result.status == "ok"
     assert result.metrics == []
-    assert result.final_state.w.same_bits(run.initial_params)
+    assert result.final_state.w.same_bits(w0)
     assert 0.0 <= result.best_acc <= 1.0  # initial model was still evaluated
 
 
@@ -295,23 +296,74 @@ def test_a_round_holds_one_cohorts_updates(monkeypatch, opt_c):
     assert alive == [0] * (cfg.rounds * 3)  # 3 sampled clients a round, one per cohort
 
 
-def test_a_client_diverging_in_a_later_cohort_leaves_the_run_as_it_was(monkeypatch):
-    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
-    cfg = tiny_config(client=ClientConfig(opt_c="scaf", batch_size=8), server=ServerConfig(opt_s="adam"))
-    run = FederatedRun(cfg)
-    run.run_round(1)
-    last = int(orchestrator_mod.prepare_schedule(cfg).ids[1][-1])  # round 2's last cohort
+# Each way to break round 2 returns what its error message must match.
+def _blow_up_a_shard_of_round_2(monkeypatch, run: FederatedRun) -> str:
+    last = int(orchestrator_mod.prepare_schedule(run.cfg).ids[1][-1])  # round 2's last cohort
     shard = run.shards[last]
     blown = Dataset(shard.features * 1e300, shard.labels, shard.num_classes)
     run.shards = run.shards[:last] + (blown,) + run.shards[last + 1 :]
-    state, controls = run.state, dict(run.controls)
-    with pytest.raises(DivergenceError) as exc:
+    return f"^divergence at round 2, client {last}, "
+
+
+def _raise_from(name: str):
+    def patch(monkeypatch, run: FederatedRun) -> str:
+        def fail(*args, **kwargs):
+            raise NonFiniteError(f"{name} failed")
+
+        monkeypatch.setattr(orchestrator_mod, name, fail)
+        return f"^{name} failed$"
+
+    return patch
+
+
+@pytest.mark.parametrize(
+    "break_round_2",
+    [
+        _blow_up_a_shard_of_round_2,
+        _raise_from("aggregate_control"),
+        _raise_from("server_step"),
+        _raise_from("evaluate"),
+    ],
+    ids=["client", "aggregate_control", "server_step", "evaluate"],
+)
+def test_a_round_that_raises_leaves_the_run_as_the_last_finished_round_left_it(monkeypatch, break_round_2):
+    monkeypatch.setattr(client_mod, "COHORT_BYTES", 1)  # every cohort holds one client
+    cfg = tiny_config(
+        client=ClientConfig(opt_c="scaf", batch_size=8), server=ServerConfig(opt_s="adam"), eval_every=1
+    )
+    run = FederatedRun(cfg)
+    run.run_round(1)
+    state, controls, metrics = run.state, dict(run.controls), list(run.metrics)
+    best_acc, best_params, last_delta = run.best_acc, run.best_params, run.last_delta
+    expected = break_round_2(monkeypatch, run)
+    with pytest.raises((DivergenceError, NonFiniteError), match=expected):
         run.run_round(2)
-    assert (exc.value.round_idx, exc.value.client_id) == (2, last)
     for name in ("w", "c", "m", "v"):
-        assert getattr(run.state, name).same_bits(getattr(state, name))
+        assert getattr(run.state, name).same_bits(getattr(state, name)), name
     assert run.controls.keys() == controls.keys()
     assert all(run.controls[cid].same_bits(controls[cid]) for cid in controls)
+    assert run.best_acc == best_acc
+    assert run.best_params.same_bits(best_params) and run.last_delta.same_bits(last_delta)
+    assert run.metrics == metrics
+
+
+def test_a_run_that_diverges_at_a_server_step_ends_in_the_last_finished_rounds_state():
+    cfg = tiny_config(
+        client=ClientConfig(opt_c="scaf", batch_size=8),
+        server=ServerConfig(opt_s="sgd", server_lr=1e307),
+        eval_every=1,
+        seed=2,
+    )
+    run = FederatedRun(cfg)
+    seen = []
+    result = run.run(on_round=lambda r, rm: seen.append((r.state, dict(r.controls))))
+    assert (result.status, result.error) == ("diverged", "divergence at round 2: vector contains NaN or Inf")
+    assert len(seen) == 1
+    state, controls = seen[0]
+    assert np.any(state.c.values != 0.0)
+    for name in ("w", "c", "m", "v"):
+        assert getattr(result.final_state, name).same_bits(getattr(state, name)), name
+    assert all(run.controls[cid].same_bits(c) for cid, c in controls.items())
 
 
 def test_option_one_controls_are_kept_as_first_layer_factors_where_smaller():
@@ -349,7 +401,7 @@ def test_running_delta_sum_reconstructs_final_params_exactly():
     # aggregated deltas onto w_0, exactly
     cfg = tiny_config(rounds=5, eval_every=5)
     run = FederatedRun(cfg)
-    folded = run.initial_params.values.copy()
+    folded = run.state.w.values.copy()
     seen = []
 
     def on_round(r: FederatedRun, rm) -> None:
@@ -634,7 +686,7 @@ def test_mlp1_params_meta_names_its_hidden_layer(tmp_path):
 
 def test_load_params_rejects_corrupt_files(tmp_path):
     good = tmp_path / "p.bin"
-    save_params(good, ParamVector([1.0, 2.0]))
+    save_params(good, ParamVector([1.0, 2.0]), LOGISTIC_4x3)
     raw = good.read_bytes()
     bad = tmp_path / "bad.bin"
     bad.write_bytes(raw[:-3])
@@ -681,7 +733,8 @@ def test_load_params_names_the_first_field_the_sidecar_disagrees_on(tmp_path, sa
 
 def test_load_params_with_a_spec_needs_a_matching_sidecar_and_length(tmp_path):
     path = tmp_path / "p.bin"
-    save_params(path, init_params(LOGISTIC_4x3, 0))
+    save_params(path, init_params(LOGISTIC_4x3, 0), LOGISTIC_4x3)
+    (tmp_path / "p.bin.meta.txt").unlink()
     with pytest.raises(ValueError, match=f"^{path}: no .meta.txt sidecar"):
         load_params(path, LOGISTIC_4x3)
     # A sidecar that agrees with the spec does not vouch for a blob of another length.
