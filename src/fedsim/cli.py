@@ -213,14 +213,14 @@ def _cmd_partition_stats(args) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     data = prepare_data(cfg)
-    train, part = data.train, data.partition
+    part, num_classes = data.partition, data.test_batch.num_classes
     print(
-        f"{cfg.num_clients} clients over {len(train)} training samples "
+        f"{cfg.num_clients} clients over {part.counts.sum()} training samples "
         f"(alpha={cfg.data.alpha}, seed={cfg.seed})"
     )
     needed = []
     for cid, shard in enumerate(data.shards):
-        hist = np.bincount(shard.labels, minlength=train.num_classes)
+        hist = np.bincount(shard.labels, minlength=num_classes)
         top = np.sort(hist)[::-1]
         need = int(np.searchsorted(np.cumsum(top), 0.9 * hist.sum()) + 1)
         needed.append(need)

@@ -85,7 +85,8 @@ def gen_synthetic(
 
     Larger spread overlaps the blobs and makes the classification task
     harder; spread well below the typical inter-mean distance (~sqrt(2d))
-    makes it nearly separable.
+    makes it nearly separable.  Rows come class by class, filled in place
+    to ``np.vstack([means[k] + spread * rng.standard_normal((n, d)) ...])``'s bits.
     """
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
@@ -95,10 +96,11 @@ def gen_synthetic(
         raise ValueError(f"spread must be positive and finite, got {spread}")
     rng = seeded_rng(seed, TAG_SYNTH)
     means = rng.normal(0.0, 1.0, size=(num_classes, dim))
+    feats = rng.standard_normal(out=np.empty((num_classes, samples_per_class, dim)))
     with np.errstate(over="ignore"):  # an overflow is reported below, by key
-        feats = np.vstack(
-            [means[k] + spread * rng.standard_normal((samples_per_class, dim)) for k in range(num_classes)]
-        )
+        np.multiply(spread, feats, out=feats)
+        np.add(means[:, None, :], feats, out=feats)
+    feats = feats.reshape(-1, dim)
     if not np.isfinite(feats).all():
         raise ValueError(f"spread {spread!r} is so large that the synthetic features overflow")
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
@@ -127,6 +129,19 @@ def split_train_test(ds: Dataset, test_fraction: float, seed: int) -> tuple[Data
 
 def subset(ds: Dataset, indices: np.ndarray) -> Dataset:
     return Dataset(ds.features[indices], ds.labels[indices], ds.num_classes)
+
+
+def client_shards(ds: Dataset, partition: Partition) -> tuple[Dataset, ...]:
+    """One Dataset per client over one read-only block of ``ds``'s rows
+    in client order: shard i holds rows ``partition.assignment[i]``, in
+    that order, as a view of the block's i-th contiguous slice."""
+    order = np.concatenate(partition.assignment)
+    features, labels = ds.features[order], ds.labels[order]
+    features.flags.writeable = labels.flags.writeable = False
+    bounds = np.cumsum(partition.counts)[:-1]
+    return tuple(
+        Dataset(f, y, ds.num_classes) for f, y in zip(np.split(features, bounds), np.split(labels, bounds))
+    )
 
 
 def dirichlet_partition(ds: Dataset, num_clients: int, alpha: float, seed: int) -> Partition:

@@ -44,11 +44,11 @@ from .data import (
     TAG_BATCH,
     Dataset,
     Partition,
+    client_shards,
     dirichlet_partition,
     load_csv_dataset,
     gen_synthetic,
     split_train_test,
-    subset,
 )
 from .model import ModelSpec, evaluate, init_params
 from .params import NonFiniteError, ParamVector
@@ -322,11 +322,10 @@ def build_dataset(cfg: DataConfig, seed: int) -> Dataset:
 class PreparedData:
     """A run's data, ready to train on; every array in it is read-only.
 
-    ``shards[i]`` is client i's Dataset, cut from ``train`` by
-    ``partition.assignment[i]``; ``test_batch`` is the test split.
+    ``shards[i]`` is client i's Dataset, training rows ``partition.assignment[i]``
+    viewed in one client-ordered block; ``test_batch`` is the test split.
     """
 
-    train: Dataset
     partition: Partition
     shards: tuple[Dataset, ...]
     test_batch: Dataset
@@ -349,7 +348,8 @@ def shared_data() -> Iterator[None]:
     what the next one reads, and each run gives the same bits as outside
     a block.
 
-    The memo holds it all until the block ends.  Besides the data, a
+    The memo holds it all until the block ends.  A data entry holds its
+    dataset's rows once, as the test split and the shards' block.  A
     schedule takes 8 bytes per sampled client per round for its ids, 8
     for its seeds and 32 per local epoch for its seed words, and a round's
     orders one int64 index per sampled sample per local epoch: about
@@ -385,6 +385,8 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
     """Build the data, hold out the test split, partition the rest and cut
     one shard per client; a client's id is its shard's index.
 
+    The dataset and the training split are dropped once split and gathered:
+    the result holds the rows once, and set-up about twice, while splitting.
     Inside a ``shared_data()`` block, runs that agree on (data section,
     seed, ``num_clients``) share one result.
     """
@@ -397,9 +399,9 @@ def prepare_data(cfg: ExperimentConfig) -> PreparedData:
             # Only a CSV can leave the test split empty: synthetic data
             # has at least two samples a class.
             raise ValueError(f"{cfg.data.path}: {exc}") from None
+        del full
         partition = dirichlet_partition(train, cfg.num_clients, cfg.data.alpha, cfg.seed)
-        shards = tuple(subset(train, idx) for idx in partition.assignment)
-        return PreparedData(train, partition, shards, test)
+        return PreparedData(partition, client_shards(train, partition), test)
 
     return _memo(("data", cfg.data, cfg.seed, cfg.num_clients), build)
 
@@ -423,7 +425,7 @@ class FederatedRun:
         self.cfg = cfg
         data = prepare_data(cfg)
         self.partition = data.partition
-        self.spec = cfg.model.spec(data.train.dim, data.train.num_classes)
+        self.spec = cfg.model.spec(data.test_batch.dim, data.test_batch.num_classes)
         self.shards = data.shards
         self.test_batch = data.test_batch
         w0 = init_params(self.spec, spawn_seed(cfg.seed, TAG_INIT))

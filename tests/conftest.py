@@ -27,8 +27,9 @@ def derivations(monkeypatch) -> Counter:
 
     ``schedule``: one run's random schedule (``orchestrator.Schedule``);
     ``reseed``: one draw from a schedule's reused generator, a round's
-    client sample or one epoch's batch order; ``client_shard``: one
-    client's shard cut from the training split (``orchestrator.subset``).
+    client sample or one epoch's batch order; ``client_block``: one data
+    build's gather of the training split into its clients' shards
+    (``orchestrator.client_shards``).
     The reference derivations a run no longer makes are counted too, so
     that a run that falls back on one shows: ``client_seed``, a client's
     ``spawn_seed(seed, TAG_CLIENT, round, cid)``; ``batch_order``, one
@@ -37,7 +38,7 @@ def derivations(monkeypatch) -> Counter:
     """
     counts: Counter = Counter()
     spawn_seed, seeded_rng = orchestrator.spawn_seed, data.seeded_rng
-    sample_clients, subset = orchestrator.sample_clients, orchestrator.subset
+    sample_clients, client_shards = orchestrator.sample_clients, orchestrator.client_shards
     schedule, reseed = orchestrator.Schedule, orchestrator.reseed
 
     def counting_spawn_seed(*keys):
@@ -54,9 +55,9 @@ def derivations(monkeypatch) -> Counter:
         counts["sample_clients"] += 1
         return sample_clients(*args)
 
-    def counting_subset(ds, indices):
-        counts["client_shard"] += 1
-        return subset(ds, indices)
+    def counting_client_shards(ds, partition):
+        counts["client_block"] += 1
+        return client_shards(ds, partition)
 
     def counting_schedule(*args, **kwargs):
         counts["schedule"] += 1
@@ -69,7 +70,7 @@ def derivations(monkeypatch) -> Counter:
     monkeypatch.setattr(orchestrator, "spawn_seed", counting_spawn_seed)
     monkeypatch.setattr(data, "seeded_rng", counting_seeded_rng)
     monkeypatch.setattr(orchestrator, "sample_clients", counting_sample_clients)
-    monkeypatch.setattr(orchestrator, "subset", counting_subset)
+    monkeypatch.setattr(orchestrator, "client_shards", counting_client_shards)
     monkeypatch.setattr(orchestrator, "Schedule", counting_schedule)
     monkeypatch.setattr(orchestrator, "reseed", counting_reseed)
     return counts

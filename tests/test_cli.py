@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fedsim
 from fedsim import check as check_mod
+from fedsim import client as client_mod
 from fedsim import data as data_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.cli import GridResult, _parser, emit_report, main, run_grid
@@ -527,7 +529,7 @@ def test_grid_derives_each_seeds_schedule_once(tmp_path, derivations):
     once = {  # and no reference derivation
         "schedule": 1,
         "reseed": rounds + rounds * sampled * 2,  # samples, then 2 epochs' orders
-        "client_shard": 6,
+        "client_block": 1,
     }
     result = run_grid(spec)
     assert len(result.cells) == 16 and not result.any_diverged
@@ -708,6 +710,26 @@ def test_check_cohort_arm_fails_when_tied_clients_swap_results(monkeypatch, caps
     monkeypatch.setattr(check_mod, "train_cohort", tied_swapped)
     assert check_mod.run_checks() is False
     assert "\nFAIL cohort: " in capsys.readouterr().out
+
+
+def test_check_fixed_point_arm_takes_under_a_second():
+    assert ("fixed-point", check_mod.check_fixed_point) in check_mod.CHECKS
+    t0 = time.perf_counter()
+    printed = check_mod.check_fixed_point()
+    assert time.perf_counter() - t0 < 1.0
+    assert printed.startswith("after 100 rounds of 5 local steps, ||grad F|| is ")
+
+
+def test_check_fixed_point_arm_fails_when_controls_never_move(monkeypatch, capsys):
+    """Control variates that stay zero make scaf FedAvg, which stalls at
+    FedAvg's biased point."""
+
+    def frozen(option, spec, shards, global_w, local_ws, global_c, local_cs, steps, lr):
+        return np.array(local_cs), None, None
+
+    monkeypatch.setattr(client_mod, "update_control_variate", frozen)
+    assert check_mod.run_checks() is False
+    assert "\nFAIL fixed-point: scaf's ||grad F|| " in capsys.readouterr().out
 
 
 def test_python_dash_m_fedsim_runs_check():

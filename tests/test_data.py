@@ -50,6 +50,25 @@ def test_gen_synthetic_deterministic():
     assert a.features.tobytes() != c.features.tobytes()
 
 
+@pytest.mark.parametrize(
+    "num_classes, dim, n, spread, seed",
+    [(2, 1, 2, 1.0, 0), (3, 5, 10, 0.5, 7), (10, 20, 200, 2.0, 3), (4, 7, 33, 1e-3, 2**40 + 1), (5, 3, 1, 1e150, 9)],
+)
+def test_gen_synthetic_gives_the_per_class_formulas_bits(num_classes, dim, n, spread, seed):
+    rng = data_mod.seeded_rng(seed, data_mod.TAG_SYNTH)
+    means = rng.normal(0.0, 1.0, size=(num_classes, dim))
+    want = np.vstack([means[k] + spread * rng.standard_normal((n, dim)) for k in range(num_classes)])
+    ds = gen_synthetic(num_classes, dim, n, spread, seed)
+    assert ds.features.shape == want.shape and ds.features.flags.c_contiguous
+    assert ds.features.tobytes() == want.tobytes()
+    npt.assert_array_equal(ds.labels, np.repeat(np.arange(num_classes), n))
+
+
+def test_gen_synthetic_names_a_spread_that_overflows():
+    with pytest.raises(ValueError, match=r"^spread 1e\+308 is so large that the synthetic features overflow$"):
+        gen_synthetic(3, 4, 10, 1e308, 0)
+
+
 def test_gen_synthetic_small_spread_separates_classes():
     ds = gen_synthetic(num_classes=3, dim=10, samples_per_class=50, spread=0.01, seed=1)
     means = np.stack([ds.features[ds.labels == k].mean(axis=0) for k in range(3)])

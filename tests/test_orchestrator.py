@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from fedsim import client as client_mod
 from fedsim import orchestrator as orchestrator_mod
 from fedsim.client import CLIENT_OPTIMIZERS, ClientConfig, DivergenceError, cohort_size
-from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test
+from fedsim.data import Dataset, epoch_batches, gen_synthetic, split_train_test, subset
 from fedsim.model import Batch, ModelSpec, init_params, loss_and_grad
 from fedsim.orchestrator import (
     ALGORITHM_NAMES,
@@ -24,6 +25,7 @@ from fedsim.orchestrator import (
     TAG_CLIENT,
     TAG_SAMPLING,
     algorithm_name,
+    build_dataset,
     load_params,
     prepare_data,
     run_experiment,
@@ -433,18 +435,72 @@ def test_num_clients_exceeding_samples_raises():
 
 
 def test_prepare_data_arrays_are_read_only():
-    data = prepare_data(tiny_config())
-    train, test, part, shard = data.train, data.test_batch, data.partition, data.shards[0]
-    for arr in (
-        train.features, train.labels, test.features, test.labels, part.counts,
-        shard.features, shard.labels,
-    ):
+    cfg = tiny_config()
+    data = prepare_data(cfg)
+    train, _ = split_train_test(build_dataset(cfg.data, cfg.seed), cfg.data.test_fraction, cfg.seed)
+    test, part, shard = data.test_batch, data.partition, data.shards[0]
+    for arr in (test.features, test.labels, part.counts, shard.features, shard.labels):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
     assert len(data.shards) == part.num_clients
     for cut, idx in zip(data.shards, part.assignment):
         assert cut.features.tobytes() == train.features[idx].tobytes()
         npt.assert_array_equal(cut.labels, train.labels[idx])
+
+
+def layout_data(tmp_path, source: str) -> DataConfig:
+    """Synthetic data, or 90 CSV rows of 4 features and a label in 0..2:
+    label last, or a middle column named ``y`` under a header."""
+    if source == "synthetic":
+        return DataConfig(num_classes=3, dim=4, samples_per_class=30, spread=1.0)
+    rng = np.random.default_rng(5)
+    labels = (np.arange(90) % 3).tolist()
+    feats = (rng.normal(size=(3, 4))[labels] + rng.standard_normal((90, 4))).tolist()
+    path = tmp_path / f"{source}.csv"
+    if source == "csv-label-last":
+        path.write_text("".join(",".join(map(repr, [*f, y])) + "\n" for f, y in zip(feats, labels)))
+        return DataConfig(source="csv", path=str(path))
+    rows = (",".join(map(repr, [*f[:2], y, *f[2:]])) for f, y in zip(feats, labels))
+    path.write_text("a,b,y,c,d\n" + "\n".join(rows) + "\n")
+    return DataConfig(source="csv", path=str(path), label_col="y", has_header=True)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "csv-label-last", "csv-label-named"])
+def test_shards_are_client_ordered_views_of_one_read_only_block(tmp_path, source):
+    cfg = tiny_config(data=layout_data(tmp_path, source))
+    data = prepare_data(cfg)
+    train, _ = split_train_test(build_dataset(cfg.data, cfg.seed), cfg.data.test_fraction, cfg.seed)
+    for shard, idx in zip(data.shards, data.partition.assignment, strict=True):
+        cut = subset(train, idx)
+        assert shard.features.tobytes() == cut.features.tobytes()
+        assert shard.labels.tobytes() == cut.labels.tobytes()
+        assert shard.num_classes == train.num_classes
+    for column in ("features", "labels"):
+        arrays = [getattr(shard, column) for shard in data.shards]
+        block = arrays[0].base
+        assert all(arr.base is block for arr in arrays)
+        assert not block.flags.writeable and len(block) == len(train)
+        address = block.__array_interface__["data"][0]
+        for arr in arrays:  # client i's rows follow client i - 1's
+            assert arr.__array_interface__["data"][0] == address
+            address += arr.nbytes
+        assert address == block.__array_interface__["data"][0] + block.nbytes
+
+
+def test_prepare_data_keeps_the_training_rows_once():
+    """Set-up holds the dataset and its two splits at once, about twice the
+    feature matrix, and keeps the shards' block and the test split."""
+    cfg = tiny_config(data=DataConfig(num_classes=10, dim=200, samples_per_class=400), num_clients=200)
+    matrix = 4000 * 200 * 8
+    tracemalloc.start()
+    try:
+        data = prepare_data(cfg)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(data.shards) == 200
+    assert retained <= 1.1 * matrix, retained / matrix
+    assert peak <= 2.2 * matrix, peak / matrix
 
 
 def test_shared_data_builds_each_input_once_within_its_block(builds):
