@@ -416,7 +416,9 @@ def prepare_schedule(cfg: ExperimentConfig) -> Schedule:
 class FederatedRun:
     """Owns all mutable state of one experiment; advance it round by round.
     ``run_round`` changes ``state``, ``controls``, ``best_acc``,
-    ``best_params``, ``last_delta`` and ``metrics`` together or not at all."""
+    ``best_params``, ``last_delta`` and ``metrics`` together or not at all.
+    ``run`` creates ``metrics.csv`` at its first checkpoint and appends each
+    later checkpoint's rows, so the file always holds every finished one."""
 
     def __init__(self, cfg: ExperimentConfig, threads: int = 1):
         # Clients train serially; `threads` goes with ROADMAP item 1's bench change.
@@ -542,6 +544,7 @@ class FederatedRun:
         out = Path(out_dir) if out_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
+        self._flushed = 0  # leading ``metrics`` entries in out's metrics.csv
 
         status, error = "ok", None
         round_idx = 0
@@ -590,7 +593,9 @@ class FederatedRun:
             self.cfg.opt_c,
             self.cfg.opt_s,
             include_timing=include_timing,
+            start=self._flushed,
         )
+        self._flushed = len(self.metrics)
 
 
 def run_experiment(
@@ -611,18 +616,23 @@ def write_metrics_csv(
     opt_c: str,
     opt_s: str,
     include_timing: bool = True,
+    start: int = 0,
 ) -> None:
     """One row per checkpoint (plus any divergence sentinel row).
 
     Rounds without an evaluation are tracked in memory but not written.
     With include_timing=False the wall_ms cell is left blank so outputs
-    of identical runs compare byte-for-byte.
+    of identical runs compare byte-for-byte.  With ``start`` > 0 the file
+    already holds the rows of ``metrics[:start]``, written by this
+    function, and only the rows of ``metrics[start:]`` are appended; the
+    file then has the bytes of one call on the whole series.
     """
     name = algorithm_name(opt_c, opt_s)
-    rows = [rm for rm in metrics if rm.test_acc is not None or rm.status != "ok"]
-    with open(path, "w", newline="") as fh:
+    rows = [rm for rm in metrics[start:] if rm.test_acc is not None or rm.status != "ok"]
+    with open(path, "a" if start else "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
+        if not start:
+            writer.writerow(METRICS_COLUMNS)
         for rm in rows:
             writer.writerow(
                 [

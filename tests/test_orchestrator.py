@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -713,6 +714,119 @@ def test_diverged_run_writes_sentinel_row(tmp_path):
     assert rows[-1][4] == ""  # no usable train loss in the sentinel row
 
 
+def _huge_csv_config(tmp_path) -> ExperimentConfig:
+    """Features of +-1.7e308 load, but the initial model's test loss
+    overflows: a divergence at round 0."""
+    path = tmp_path / "huge.csv"
+    rows = (f"{(-1) ** i * 1.7e308!r},{(-1) ** (i // 2) * 1.7e308!r},{i % 3}\n" for i in range(30))
+    path.write_text("".join(rows))
+    return tiny_config(data=DataConfig(source="csv", path=str(path)), num_clients=2, sample_ratio=1.0)
+
+
+# Each case's config, its (status, last round in the series), and the
+# ``start`` of each flush: the first truncates, the later ones append.
+METRICS_FILE_CASES = {
+    "ok": (lambda tmp: tiny_config(rounds=7, eval_every=3), ("ok", 7), [0, 3, 6]),
+    "diverged_at_round_2": (
+        lambda tmp: tiny_config(
+            client=ClientConfig(opt_c="scaf", batch_size=8),
+            server=ServerConfig(opt_s="sgd", server_lr=1e307),
+            eval_every=1,
+            seed=2,
+        ),
+        ("diverged", 2),
+        [0, 1],
+    ),
+    "diverged_at_round_0": (_huge_csv_config, ("diverged", 0), [0]),
+    "zero_rounds": (lambda tmp: tiny_config(rounds=0), ("ok", None), [0]),
+}
+
+
+@pytest.mark.parametrize("include_timing", [True, False], ids=["timing", "no_timing"])
+@pytest.mark.parametrize("case", list(METRICS_FILE_CASES))
+def test_an_appended_metrics_csv_has_the_bytes_of_one_write_of_the_whole_series(
+    tmp_path, monkeypatch, case, include_timing
+):
+    """A run creates metrics.csv at its first checkpoint and appends to it
+    after that; the file ends as ``write_metrics_csv`` of the whole series
+    writes it, over a longer metrics.csv that another config left behind."""
+    make_cfg, (status, last_round), expected_starts = METRICS_FILE_CASES[case]
+    cfg = make_cfg(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    other = run_experiment(tiny_config(rounds=12, eval_every=1, seed=5))
+    write_metrics_csv(out / "metrics.csv", other.metrics, "sgd", "sgd", include_timing=include_timing)
+    left_behind = (out / "metrics.csv").stat().st_size
+
+    starts = []
+    real_write = orchestrator_mod.write_metrics_csv
+
+    def recording_write(path, metrics, *args, start=0, **kwargs):
+        starts.append(start)
+        real_write(path, metrics, *args, start=start, **kwargs)
+
+    monkeypatch.setattr(orchestrator_mod, "write_metrics_csv", recording_write)
+    result = run_experiment(cfg, out_dir=out, include_timing=include_timing)
+    assert (result.status, result.metrics[-1].round_idx if result.metrics else None) == (status, last_round)
+    assert starts == expected_starts
+
+    whole = tmp_path / "whole.csv"
+    real_write(whole, result.metrics, cfg.opt_c, cfg.opt_s, include_timing=include_timing)
+    assert (out / "metrics.csv").read_bytes() == whole.read_bytes()
+    assert whole.stat().st_size < left_behind
+
+
+def test_each_call_of_run_writes_its_metrics_csv_from_the_start(tmp_path):
+    """``run`` counts the rows it has written from zero, so a second call
+    on the same run, into another directory, writes the whole series."""
+    run = FederatedRun(tiny_config(rounds=2, eval_every=1))
+    run.run(out_dir=tmp_path / "a")
+    run.run(out_dir=tmp_path / "b")
+    whole = tmp_path / "whole.csv"
+    write_metrics_csv(whole, run.metrics, "sgd", "sgd")
+    assert [rm.round_idx for rm in run.metrics] == [1, 2, 1, 2]
+    assert (tmp_path / "b" / "metrics.csv").read_bytes() == whole.read_bytes()
+
+
+def _metrics_csv_sizes(out, crash_after=None):
+    """An ``on_round`` hook that records metrics.csv's size (None while
+    there is none) and raises a plain error after round ``crash_after``."""
+    sizes = []
+
+    def on_round(run: FederatedRun, rm) -> None:
+        path = out / "metrics.csv"
+        sizes.append(path.stat().st_size if path.exists() else None)
+        if rm.round_idx == crash_after:
+            raise RuntimeError("interrupted")
+
+    return sizes, on_round
+
+
+def test_a_crashed_run_keeps_the_row_of_every_finished_checkpoint(tmp_path):
+    """An error that is not a divergence ends the run at once, and the file
+    holds what the finished checkpoints wrote."""
+    out = tmp_path / "out"
+    sizes, on_round = _metrics_csv_sizes(out, crash_after=7)
+    with pytest.raises(RuntimeError, match="^interrupted$"):
+        FederatedRun(tiny_config(rounds=12, eval_every=5)).run(out_dir=out, on_round=on_round)
+    rows = read_csv(out / "metrics.csv")
+    assert rows[0] == list(METRICS_COLUMNS)
+    assert [(row[0], row[-1]) for row in rows[1:]] == [("5", "ok")]
+    assert sizes == [None] * 5 + [(out / "metrics.csv").stat().st_size] * 2
+
+
+def test_metrics_csv_only_grows_between_checkpoints(tmp_path):
+    """Read from ``on_round``, which runs before its round's checkpoint,
+    the file grows at each checkpoint and at nothing else."""
+    out = tmp_path / "out"
+    sizes, on_round = _metrics_csv_sizes(out)
+    FederatedRun(tiny_config(rounds=12, eval_every=2)).run(out_dir=out, on_round=on_round)
+    assert sizes[:2] == [None, None]
+    assert sizes[2::2] == sizes[3::2]  # rounds 3 and 4 see round 2's file, and so on
+    seen = sizes[2::2] + [(out / "metrics.csv").stat().st_size]
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+
+
 # ------------------------------------------------------------------ persistence
 
 
@@ -824,15 +938,29 @@ def test_experiment_config_validation():
         ModelConfig(kind="logistic", hidden_dim=4)
 
 
-def test_traced_benchmark_hooks_hold(monkeypatch):
+def test_traced_benchmark_hooks_hold(tmp_path, monkeypatch):
     """The hooks the traced benchmark wraps: one
     ``update_control_variate`` per scaf cohort, reached through
     ``fedsim.client``; one ``aggregate`` and one ``server_step`` per
     round, plus one ``aggregate_control`` per scaf round, all reached
     through ``fedsim.orchestrator``; ``threads`` passed positionally.
     ``fedsim.client.epoch_batches`` stays wrappable, but a run calls it
-    no more: its batch orders come from the run's schedule."""
+    no more: its batch orders come from the run's schedule.  One
+    ``write_metrics_csv`` per eval round, reached through
+    ``fedsim.orchestrator``, takes the file's path first, and the file
+    at that path then holds every row so far, so the file sizes that
+    ``io.metrics_csv_bytes`` sums are those of whole-series writes."""
     calls = []
+    real_write = orchestrator_mod.write_metrics_csv
+    whole = tmp_path / "whole.csv"
+
+    def metrics_csv_hook(path, metrics, *args, start=0, **kwargs):
+        calls.append("write_metrics_csv")
+        real_write(path, metrics, *args, start=start, **kwargs)
+        real_write(whole, metrics, *args, **kwargs)
+        assert Path(path).read_bytes() == whole.read_bytes()
+
+    monkeypatch.setattr(orchestrator_mod, "write_metrics_csv", metrics_csv_hook)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -848,7 +976,7 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
     for opt_c in ("sgd", "scaf"):
         calls.clear()
         client = ClientConfig(opt_c=opt_c, batch_size=8, local_epochs=2)
-        result = FederatedRun(tiny_config(client=client, rounds=3), 1).run()
+        result = FederatedRun(tiny_config(client=client, rounds=3), 1).run(out_dir=tmp_path / opt_c)
         assert result.status == "ok"
         scaf = opt_c == "scaf"
         expected = []
@@ -857,7 +985,8 @@ def test_traced_benchmark_hooks_hold(monkeypatch):
             expected += ["update_control_variate"] * cohorts if scaf else []
             expected += ["aggregate", "aggregate_control"] if scaf else ["aggregate"]
             expected += ["server_step"]
-        assert calls == expected
+            expected += ["write_metrics_csv"] if rm.test_acc is not None else []
+        assert calls == expected and calls.count("write_metrics_csv") == 2
 
 
 def test_labelled_rows_are_checked_only_while_a_run_sets_up(monkeypatch):
