@@ -98,7 +98,7 @@ class ClientConfig:
     def __post_init__(self) -> None:
         if self.opt_c not in CLIENT_OPTIMIZERS:
             raise ValueError(
-                f"unknown opt_c {self.opt_c!r}; expected one of {CLIENT_OPTIMIZERS}"
+                f"opt_c must be one of the valid tokens {list(CLIENT_OPTIMIZERS)}, got {self.opt_c!r}"
             )
         if self.local_epochs < 1:
             raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")

@@ -2,10 +2,12 @@
 
 A config file is a flat YAML mapping with optional per-component
 sections (client, server, model, data) and an optional ``grid`` section.
-Unknown keys are rejected with their file line, wrong enum tokens are
-rejected with the list of valid tokens, and ``serialize_config`` emits
-YAML that parses back to an equal object, so configs can be archived
-alongside results and replayed exactly.
+Every key and its type are read off the config dataclasses, which own
+every rule (enum tokens included), so a file and a Python caller get
+one message. This module types YAML values, rejects unknown keys and
+places each error at its key's line; its only hand-written tables are
+``_CASTERS`` (annotation -> caster) and ``_HOISTED``.
+``serialize_config`` emits YAML that parses back to an equal object.
 
 Every key has a default; the minimal useful file just names the
 optimizer pair::
@@ -17,15 +19,15 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
-from .client import CLIENT_OPTIMIZERS, CONTROL_OPTIONS, ClientConfig
-from .model import ACTIVATIONS, MODEL_KINDS
-from .orchestrator import DATA_SOURCES, DataConfig, ExperimentConfig, ModelConfig
-from .server import SERVER_OPTIMIZERS, ServerConfig
+from .client import CLIENT_OPTIMIZERS
+from .orchestrator import ExperimentConfig
+from .server import SERVER_OPTIMIZERS
 
 
 class ConfigError(ValueError):
@@ -59,10 +61,12 @@ def _node_to_obj(loader: _Loader, node: yaml.Node, path: str, lines: dict[str, i
             out[key] = _node_to_obj(loader, value_node, child, lines)
         return out
     if isinstance(node, yaml.SequenceNode):
-        return [
-            _node_to_obj(loader, item, f"{path}[{i}]", lines)
-            for i, item in enumerate(node.value)
-        ]
+        out = []
+        for i, item in enumerate(node.value):
+            child = f"{path}[{i}]"
+            lines[child] = item.start_mark.line + 1
+            out.append(_node_to_obj(loader, item, child, lines))
+        return out
     try:
         return loader.construct_object(node, deep=True)
     except yaml.constructor.ConstructorError:
@@ -97,12 +101,13 @@ def _err(path: str, lines: dict[str, int], msg: str) -> ConfigError:
 
 def _construct(cls, kwargs: dict, path: str, lines: dict[str, int]):
     """``cls(**kwargs)``, with a rule it breaks reported at the key its
-    message starts with if the file sets it under ``path``, else at ``path``."""
+    message starts with if the file sets it under ``path`` (or, for a
+    hoisted key, at the top level), else at ``path``."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
         name = str(exc).split(" ", 1)[0]
-        key = f"{path}.{name}" if path else name
+        key = f"{path}.{name}" if path and _HOISTED.get(name) != path else name
         raise _err(key if key in lines else path, lines, str(exc)) from exc
 
 
@@ -151,18 +156,12 @@ def _cast_int_or_str(value, path, lines):
     return value
 
 
-def _cast_mapping(value, path, lines) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise _err(path, lines, "expected a mapping of settings")
-    return value
-
-
-def _cast_token(valid: tuple[str, ...]):
-    def cast(value, path, lines):
-        if value not in valid:
-            raise _err(path, lines, f"invalid token {value!r}; valid tokens: {list(valid)}")
+def _cast_mapping(what: str):
+    def cast(value, path, lines) -> dict:
+        if value is None:  # ``client:`` with nothing under it
+            return {}
+        if not isinstance(value, dict):
+            raise _err(path, lines, f"expected a mapping of {what}")
         return value
 
     return cast
@@ -188,22 +187,8 @@ _CASTERS = {
     "bool": _cast_bool,
     "str": _cast_str,
     "int | str": _cast_int_or_str,
-}
-
-_TOKENS = {
-    "opt_c": CLIENT_OPTIMIZERS,
-    "opt_s": SERVER_OPTIMIZERS,
-    "control_option": CONTROL_OPTIONS,
-    "kind": MODEL_KINDS,
-    "activation": ACTIVATIONS,
-    "source": DATA_SOURCES,
-}
-
-_SECTIONS = {
-    "client": ClientConfig,
-    "server": ServerConfig,
-    "model": ModelConfig,
-    "data": DataConfig,
+    "tuple[str, ...]": _cast_list(_cast_str),
+    "tuple[int, ...]": _cast_list(_cast_int),
 }
 
 # Top-level keys that set a field of a section: ``opt_c: scaf`` is client.opt_c.
@@ -211,29 +196,23 @@ _HOISTED = {"opt_c": "client", "opt_s": "server"}
 
 
 def _schema(cls) -> dict:
-    """Key -> caster for the plain fields of ``cls``, read off their types."""
+    """Key -> caster for the fields of ``cls`` that hold no nested config, read off their types."""
+    hints = get_type_hints(cls)
     return {
-        f.name: _cast_token(_TOKENS[f.name])
-        if f.name in _TOKENS
-        else _CASTERS[f.type.removesuffix(" | None")]
+        f.name: _CASTERS[f.type.removesuffix(" | None")]
         for f in fields(cls)
-        if f.name not in _HOISTED and f.name not in _SECTIONS
+        if not is_dataclass(hints[f.name])
     }
 
+
+_SECTIONS = {name: t for name, t in get_type_hints(ExperimentConfig).items() if is_dataclass(t)}
 
 _SECTION_KEYS = {name: _schema(cls) for name, cls in _SECTIONS.items()}
 
 _TOP_KEYS = {
-    **{key: _cast_token(_TOKENS[key]) for key in _HOISTED},
+    **{key: _SECTION_KEYS[name].pop(key) for key, name in _HOISTED.items()},  # top level only
     **_schema(ExperimentConfig),
-    **dict.fromkeys(_SECTIONS, _cast_mapping),
-}
-
-_GRID_KEYS = {
-    "opt_c": _cast_list(_TOP_KEYS["opt_c"]),
-    "opt_s": _cast_list(_TOP_KEYS["opt_s"]),
-    "seeds": _cast_list(_cast_int),
-    "checkpoints": _cast_list(_cast_int),
+    **dict.fromkeys(_SECTIONS, _cast_mapping("settings")),
 }
 
 
@@ -291,6 +270,9 @@ class GridSpec:
         ]
 
 
+_GRID_KEYS = _schema(GridSpec)
+
+
 def _build_experiment(top: dict, lines: dict[str, int]) -> ExperimentConfig:
     sections = {
         name: _take(top.pop(name, {}), lines, name, _SECTION_KEYS[name]) for name in _SECTIONS
@@ -310,15 +292,13 @@ def parse_config(path: str | Path) -> ExperimentConfig | GridSpec:
     single ExperimentConfig.
     """
     tree, lines = _load_yaml_tree(Path(path).read_text())
-    # ``grid`` is accepted here, so the unknown-key message lists it, and checked below.
-    top = _take(tree, lines, "", {**_TOP_KEYS, "grid": lambda value, *_: value})
+    # A ``grid`` key makes the file a sweep, even with nothing under it.
+    top = _take(tree, lines, "", {**_TOP_KEYS, "grid": _cast_mapping("sweep settings")})
     grid_raw = top.pop("grid", None)
     base = _build_experiment(top, lines)
     if grid_raw is None:
         return base
-    if not isinstance(grid_raw, dict):
-        raise _err("grid", lines, "expected a mapping of sweep settings")
-    grid_kw = _take(dict(grid_raw), lines, "grid", _GRID_KEYS)
+    grid_kw = _take(grid_raw, lines, "grid", _GRID_KEYS)
     return _construct(GridSpec, {"base": base, **grid_kw}, "grid", lines)
 
 

@@ -55,7 +55,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+            raise ValueError(f"kind must be one of the valid tokens {list(MODEL_KINDS)}, got {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if self.num_classes < 2:

@@ -122,7 +122,9 @@ class DataConfig:
 
     def __post_init__(self) -> None:
         if self.source not in DATA_SOURCES:
-            raise ValueError(f"data source must be one of {DATA_SOURCES}, got {self.source!r}")
+            raise ValueError(
+                f"source must be one of the valid tokens {list(DATA_SOURCES)}, got {self.source!r}"
+            )
         if not (0.0 < self.alpha < math.inf):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not (0.0 < self.test_fraction < 1.0):

@@ -54,7 +54,9 @@ class ServerConfig:
 
     def __post_init__(self) -> None:
         if self.opt_s not in SERVER_OPTIMIZERS:
-            raise ValueError(f"unknown opt_s {self.opt_s!r}; expected one of {SERVER_OPTIMIZERS}")
+            raise ValueError(
+                f"opt_s must be one of the valid tokens {list(SERVER_OPTIMIZERS)}, got {self.opt_s!r}"
+            )
         if self.server_lr is not None and not (0.0 < self.server_lr < math.inf):
             raise ValueError(f"server_lr must be positive and finite, got {self.server_lr}")
         if not (0.0 <= self.beta1 < 1.0):

@@ -110,6 +110,16 @@ def test_run_rejects_grid_config(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_an_empty_grid_section_makes_the_file_a_sweep(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY + "grid:\n")
+    assert parse_config(cfg) == parse_config(write_config(tmp_path, TINY + "grid: {}\n", "braces.yaml"))
+    assert main(["run", cfg]) == 2
+    assert capsys.readouterr().err == "error: config defines a grid; use `fedsim grid`\n"
+    out = tmp_path / "out"
+    assert main(["grid", cfg, "--out", str(out)]) == 0
+    assert len(read_csv(out / "report.csv")) == 17  # header + the default 4x4 sweep
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     for text in (
         "opt_c: bogus\n",

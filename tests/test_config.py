@@ -7,10 +7,12 @@ import re
 import pytest
 
 from fedsim import config
-from fedsim.client import ClientConfig
+from fedsim.cli import main
+from fedsim.client import CLIENT_OPTIMIZERS, CONTROL_OPTIONS, ClientConfig
 from fedsim.config import ConfigError, GridSpec, parse_config, save_config, serialize_config
-from fedsim.orchestrator import DataConfig, ExperimentConfig
-from fedsim.server import ServerConfig
+from fedsim.model import ACTIVATIONS, MODEL_KINDS
+from fedsim.orchestrator import DATA_SOURCES, DataConfig, ExperimentConfig, ModelConfig
+from fedsim.server import SERVER_OPTIMIZERS, ServerConfig
 
 
 def write(tmp_path, text: str):
@@ -119,6 +121,79 @@ def test_invalid_server_token(tmp_path):
         parse_config(write(tmp_path, "opt_c: sgd\nopt_s: sgdm\n"))
     msg = str(e.value)
     assert "line 2" in msg and "yogi" in msg
+
+
+#: Every place a file can set an enum key.  Key path as written -> (file
+#: text, the key's line, bad token, valid tokens, the same value in Python).
+ENUM_CASES = {
+    "opt_c": ("opt_c: fedavg\n", 1, "fedavg", CLIENT_OPTIMIZERS, lambda: ClientConfig(opt_c="fedavg")),
+    "opt_s": ("rounds: 3\nopt_s: sgdm\n", 2, "sgdm", SERVER_OPTIMIZERS, lambda: ServerConfig(opt_s="sgdm")),
+    "client.control_option": (
+        "client:\n  control_option: III\n", 2, "III", CONTROL_OPTIONS,
+        lambda: ClientConfig(control_option="III"),
+    ),
+    "model.kind": ("model:\n  kind: cnn\n", 2, "cnn", MODEL_KINDS, lambda: ModelConfig(kind="cnn")),
+    "model.activation": (
+        "model:\n  kind: mlp1\n  activation: gelu\n", 3, "gelu", ACTIVATIONS,
+        lambda: ModelConfig(kind="mlp1", activation="gelu"),
+    ),
+    "data.source": ("data:\n  source: sql\n", 2, "sql", DATA_SOURCES, lambda: DataConfig(source="sql")),
+    "grid.opt_c": (
+        "rounds: 4\neval_every: 2\ngrid:\n  opt_c: [sgd, avg]\n", 4, "avg", CLIENT_OPTIMIZERS,
+        lambda: GridSpec(ExperimentConfig(rounds=4, eval_every=2), opt_c=("sgd", "avg")),
+    ),
+    "grid.opt_s": (
+        "grid:\n  opt_s:\n    - adam\n    - bogus\n", 2, "bogus", SERVER_OPTIMIZERS,
+        lambda: GridSpec(ExperimentConfig(), opt_s=("adam", "bogus")),
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(ENUM_CASES))
+def test_an_enum_key_has_one_rule_for_files_and_python(tmp_path, capsys, key):
+    text, line, bad, valid, build = ENUM_CASES[key]
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as e:
+        parse_config(path)
+    where = f"{key} (line {line}): "
+    assert str(e.value).startswith(where)
+    rule = str(e.value).removeprefix(where)
+    assert rule.startswith(f"{key.split('.')[-1]} must be one of") and f"got {bad!r}" in rule
+    for token in valid:
+        assert repr(token) in rule
+    with pytest.raises(ValueError) as py:
+        build()
+    assert str(py.value) == rule
+    for verb in ("run", "grid"):
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {e.value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("opt_c: 5\n", "opt_c (line 1): expected a string, got 5"),
+        ("grid: {opt_s: [adam, 5]}\n", "grid.opt_s[1] (line 1): expected a string, got 5"),
+    ],
+)
+def test_an_enum_key_of_another_type_expects_a_string(tmp_path, text, want):
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        parse_config(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("grid:\n  seeds: [0, x]\n", "grid.seeds[1] (line 2): expected an integer, got 'x'"),
+        ("grid:\n  seeds: [0,\n    x]\n", "grid.seeds[1] (line 3): expected an integer, got 'x'"),
+        ("rounds: 8\neval_every: 2\ngrid:\n  checkpoints:\n    - 2\n    - 4.0\n",
+         "grid.checkpoints[1] (line 6): expected an integer, got 4.0"),
+    ],
+    ids=["flow", "flow-over-two-lines", "block"],
+)
+def test_a_list_items_error_names_its_line(tmp_path, text, want):
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        parse_config(write(tmp_path, text))
 
 
 def test_unknown_key_reports_path_and_line(tmp_path):
@@ -412,8 +487,8 @@ def test_grid_rejects_duplicates_and_bad_tokens(tmp_path):
 @pytest.mark.parametrize(
     "axis, match",
     [
-        ({"opt_c": ("sgd", "bogus")}, "unknown opt_c 'bogus'"),
-        ({"opt_s": ("bogus",)}, "unknown opt_s 'bogus'"),
+        ({"opt_c": ("sgd", "bogus")}, "opt_c must be one of .*'bogus'"),
+        ({"opt_s": ("bogus",)}, "opt_s must be one of .*'bogus'"),
         ({"seeds": (0, -1)}, "seeds must be >= 0, got -1"),
         ({"opt_c": ()}, "grid must sweep at least one opt_c"),
         ({"seeds": ()}, "grid must sweep at least one opt_c, opt_s, and seed"),
